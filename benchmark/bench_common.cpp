@@ -43,64 +43,6 @@ void add_parallel_metrics(Metrics& m, const tm::MetricsSnapshot& d) {
         "ratio");
 }
 
-void declare_layer_metrics(Metrics& m) {
-  static const std::pair<const char*, const char*> kLayer[] = {
-      {"fermion.build_s", "s"},
-      {"symmetry.basis_s", "s"},
-      {"symmetry.compile_s", "s"},
-      {"symmetry.apply_s", "s"},
-      {"symmetry.apply_calls", "count"},
-      {"symmetry.apply_ms_p50", "ms"},
-      {"symmetry.apply_ms_p90", "ms"},
-      {"symmetry.bytes_moved", "bytes"},
-      {"symmetry.gbs", "GB/s"},
-      {"ops.apply_s", "s"},
-      {"ops.apply_calls", "count"},
-      {"ops.apply_ms_p50", "ms"},
-      {"ops.apply_ms_p90", "ms"},
-      {"ops.kernel_sweeps", "count"},
-      {"ops.bytes_moved", "bytes"},
-      {"ops.gbs", "GB/s"},
-      {"solver.alloc_s", "s"},
-      {"solver.solve_s", "s"},
-      {"solver.self_s", "s"},
-      {"solver.self_share", "ratio"},
-      {"solver.matvecs", "count"},
-      {"solver.iterations", "count"},
-      {"solver.restarts", "count"},
-      {"evolve.compile_s", "s"},
-      {"evolve.first_step_s", "s"},
-      {"evolve.quench_s", "s"},
-      {"evolve.step_s", "s"},
-      {"evolve.step_ms_p50", "ms"},
-      {"evolve.step_ms_p90", "ms"},
-      {"evolve.groups", "count"},
-      {"evolve.model_bytes", "bytes"},
-      {"evolve.gbs", "GB/s"},
-      {"state.observe_s", "s"},
-      {"state.observe_calls", "count"},
-      {"parallel.dispatches", "count"},
-      {"parallel.idle_s", "s"},
-      {"parallel.utilization", "ratio"},
-      {"serve.start_s", "s"},
-      {"serve.status_ms_p50", "ms"},
-      {"serve.submit_ms_p50", "ms"},
-      {"serve.fetch_ms_p50", "ms"},
-      {"serve.queue_ms_p50", "ms"},
-      {"serve.queue_ms_p95", "ms"},
-      {"serve.run_ms_p50", "ms"},
-      {"serve.run_ms_p95", "ms"},
-      {"serve.batch_passes", "count"},
-      {"serve.batch_ratio", "ratio"},
-      {"serve.cache_hit_ratio", "ratio"},
-      {"serve.cache_misses", "count"},
-      {"serve.polls_per_job", "count"},
-      {"serve.max_queue_depth", "count"},
-      {"telemetry.trace_overhead_frac", "ratio"},
-  };
-  for (const auto& [name, unit] : kLayer) m.set(name, 0.0, unit);
-}
-
 void add_job_metrics(Metrics& m, const std::vector<double>& job_s,
                      double loop_s) {
   m.set("job_p50_s", percentile(job_s, 50.0), "s");

@@ -60,12 +60,6 @@ inline gecos::HubbardParams hubbard_ladder(std::size_t lx) {
   return p;
 }
 
-/// Fewest timed operations an in-process run measures, however short
-/// --seconds is, so every run's median averages at least two.
-inline std::size_t min_ops(const Options& o) {
-  return o.size == Size::full ? 2 : 1;
-}
-
 /// Monotonic seconds since an arbitrary epoch.
 inline double now_s() {
   return std::chrono::duration<double>(
@@ -220,11 +214,6 @@ Result run_sector_ground(const Options& o);
 Result run_full_ground(const Options& o);
 Result run_trotter_quench(const Options& o);
 Result run_serve_jobs(const Options& o);
-
-/// Sets every per-layer metric to 0 with its unit, so a traced run emits
-/// the full per-layer list even for layers its workload does not exercise
-/// in the measured process; each workload then overwrites its own.
-void declare_layer_metrics(Metrics& m);
 
 /// Adds the universal end-to-end job metrics from per-job latencies and the
 /// wall time of the measured loop.

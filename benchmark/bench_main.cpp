@@ -16,7 +16,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "simd/simd.hpp"
@@ -73,9 +72,12 @@ int fingerprint() {
 int main(int argc, char** argv) {
   Options o;
   bool have_workload = false;
-  // Threads are pinned to the host's processor count for every run.
-  gecos::set_num_threads(
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  // Every run uses one thread (and so does the daemon it spawns). On a
+  // shared VM the host preempts vCPUs in bursts, and a parallel dispatch
+  // waits for its slowest thread: through one burst the slowest 4-thread
+  // solve took 2.9x the fastest, the slowest 1-thread solve 1.5x (see
+  // README.md, "Run-to-run spread").
+  gecos::set_num_threads(1);
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto value = [&]() -> std::string {

@@ -13,8 +13,9 @@ standard output is one JSON object:
     {"correct": bool, "attempted": int, "failed": int, "metrics": {...}}
 
 With --trace 0 the metrics are the end-to-end metrics of BENCHMARK.json;
-with --trace 1 they are the per-layer metrics, and the trace files the run
-wrote are validated with tools/trace_report.py. The line before it carries
+with --trace 1 they are the per-layer metrics (0 for a layer the workload
+does not run in the measured process), and the trace files the run wrote
+are validated with tools/trace_report.py. The line before it carries
 the host fingerprint and a digest of the seed-generated inputs. Every run
 is also appended to <build dir>/history.jsonl, which benchmark/compare.py
 reads.
@@ -84,6 +85,22 @@ def run_child(cmd):
     return p.returncode, out
 
 
+def per_layer_metrics(emitted):
+    """The per-layer metrics of BENCHMARK.json in its order: the value the
+    program emitted, or 0 for a layer the workload does not run in the
+    measured process. Returns None when the program emitted a metric that
+    BENCHMARK.json does not declare, or one under another unit."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        declared = json.load(f)["per_layer"]
+    units = {m["name"]: m["unit"] for m in declared}
+    bad = [n for n, m in emitted.items() if units.get(n) != m["unit"]]
+    if bad:
+        log(f"undeclared metrics or units: {', '.join(sorted(bad))}")
+        return None
+    return {m["name"]: emitted.get(m["name"], {"value": 0, "unit": m["unit"]})
+            for m in declared}
+
+
 def last_json(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     return json.loads(lines[-1]) if lines else None
@@ -96,7 +113,8 @@ def trace_valid(path):
         log(f"missing trace file {path}")
         return False
     if not os.path.exists(tool):
-        return True
+        log(f"missing {tool}")
+        return False
     r = subprocess.run([sys.executable, tool, path, "--top", "5"],
                        stdout=sys.stderr, cwd=ROOT)
     return r.returncode == 0
@@ -151,6 +169,9 @@ def main():
     if a.trace:
         metrics["mem.triad_gbs"] = {"value": fingerprint["triad_gbs"],
                                     "unit": "GB/s"}
+        metrics = per_layer_metrics(metrics)
+        if metrics is None:
+            return 1
         traces = [os.path.join(out_dir, f"{a.workload}.trace.json")]
         if a.workload == "serve_jobs":
             daemon = glob.glob(os.path.join(out_dir, "gecosd-*.trace.json"))
