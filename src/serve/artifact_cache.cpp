@@ -25,9 +25,7 @@ std::size_t scb_sum_bytes(const ScbSum& s) {
 }
 
 std::size_t sector_op_bytes(const SectorOperator& op) {
-  // Hop tables dominate (4 B per kernel per rank); the shared config table
-  // (8 B per rank) is counted once even though it is registry-shared.
-  return op.dim() * (8 + 4 * op.num_hop_kernels()) + 4096;
+  return op.layout_bytes();
 }
 
 }  // namespace
@@ -93,7 +91,7 @@ std::shared_ptr<const void> ArtifactCache::insert(
     // A racing builder won while we were building outside the lock (or a
     // key collided across types — then overwrite). Adopt the winner so
     // every caller holds the SAME object: pointer identity is what makes
-    // shared kernel caches and config tables actually shared.
+    // shared kernel caches and compiled operators actually shared.
     if (*it->second.type == type) return it->second.value;
     bytes_ -= it->second.bytes;
     entries_.erase(it);

@@ -4,7 +4,7 @@
 // the same lattice's Hamiltonian, the same sector's compiled operator, the
 // same observable set. Before this cache each job rebuilt them from
 // scratch — Jordan-Wigner expansion, transition canonicalization, kernel
-// compilation, hop-table precomputation — work that dwarfs a warm solve.
+// compilation, the gather-row build — work that dwarfs a warm solve.
 // ROADMAP item 3 names the fix: hoist those function-local artifacts into
 // shared, refcounted objects keyed by content.
 //
@@ -103,8 +103,9 @@ class ArtifactCache {
 std::shared_ptr<const ScbSum> cached_hubbard(ArtifactCache& cache,
                                              const HubbardParams& p);
 
-/// The lattice Hamiltonian compiled into the (n_up, n_down) sector —
-/// kernels, fused diagonal and hop tables built once per cache lifetime.
+/// The lattice Hamiltonian compiled into the (n_up, n_down) sector — its
+/// gather form built once per cache lifetime and charged at
+/// SectorOperator::layout_bytes().
 std::shared_ptr<const SectorOperator> cached_sector_op(ArtifactCache& cache,
                                                        const HubbardParams& p,
                                                        std::uint32_t n_up,

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -38,8 +39,11 @@ std::vector<double> get_doubles(PayloadReader& r) {
   return v;
 }
 
-// Exact read/write loops over a blocking fd, EINTR-restarted. Return false
-// on EOF (read) / error instead of throwing so callers choose the message.
+// Exact read/send loops over a blocking socket, EINTR-restarted. Return
+// false on EOF (read) / error instead of throwing so callers choose the
+// message. Sends use MSG_NOSIGNAL: a peer that closed its end turns the
+// write into EPIPE (a dropped connection) instead of a process-killing
+// SIGPIPE.
 bool read_exact(int fd, unsigned char* buf, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
@@ -54,10 +58,10 @@ bool read_exact(int fd, unsigned char* buf, std::size_t n) {
   return true;
 }
 
-bool write_exact(int fd, const unsigned char* buf, std::size_t n) {
+bool send_exact(int fd, const unsigned char* buf, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
-    const ssize_t k = ::write(fd, buf + done, n - done);
+    const ssize_t k = ::send(fd, buf + done, n - done, MSG_NOSIGNAL);
     if (k < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -342,9 +346,11 @@ void write_frame(int fd, std::span<const unsigned char> payload) {
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   unsigned char hdr[sizeof(len)];
   std::memcpy(hdr, &len, sizeof(len));
-  if (!write_exact(fd, hdr, sizeof(hdr)) ||
-      !write_exact(fd, payload.data(), payload.size()))
-    throw Error(ErrorKind::protocol, "short write on frame");
+  if (!send_exact(fd, hdr, sizeof(hdr)) ||
+      !send_exact(fd, payload.data(), payload.size()))
+    throw Error(ErrorKind::protocol,
+                errno == EPIPE ? "peer closed the connection"
+                               : "short write on frame");
 }
 
 std::vector<unsigned char> read_frame(int fd) {

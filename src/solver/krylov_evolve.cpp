@@ -92,7 +92,7 @@ std::size_t KrylovEvolver::build_and_solve(cplx z, std::span<const cplx> x,
       // Full reorthogonalization: one classical GS pass over the whole
       // prefix keeps the basis orthonormal to machine precision (the
       // three-term recurrence above already removed the O(1) components).
-      basis_.project_out(w, j + 1, 1);
+      basis_.orthogonalize(w, j + 1, {}, 1);
       b = vec_norm(w);
     } else {
       // Arnoldi: two-pass Gram-Schmidt with coefficient recording into

@@ -88,7 +88,7 @@ double Lanczos::extend(std::size_t j) const {
       // The local recurrence was the first Gram-Schmidt pass; one classical
       // pass over the whole prefix restores machine-level orthogonality
       // ("twice is enough").
-      basis_.project_out(w, j + 1, 1);
+      basis_.orthogonalize(w, j + 1, {}, 1);
       break;
     case LanczosReorth::kSelective: {
       // Parlett-Simon omega recurrence over the tridiagonal tail estimates
@@ -100,7 +100,7 @@ double Lanczos::extend(std::size_t j) const {
       // diagonal omega_{j,j} = 1, omega_prev_ the previous one; the new
       // generation is computed strictly from OLD values (old_im1 carries
       // the pre-overwrite omega_{j,i-1}).
-      if (locked_ > 0) basis_.project_out(w, locked_, 1);
+      if (locked_ > 0) basis_.orthogonalize(w, locked_, {}, 1);
       const double bj = std::max(vec_norm(w), 1e-300);
       const double bjm1 = j > locked_ ? tmat_[(j - 1) * m_ + j] : 0.0;
       double worst = 0.0;
@@ -122,7 +122,7 @@ double Lanczos::extend(std::size_t j) const {
       omega_prev_[j] = 1.0;   // omega_{j,j}
       omega_[j] = kEps;       // omega_{j+1,j}: freshly orthogonal pair
       if (worst > kOmegaLimit) {
-        basis_.project_out(w, j + 1, 1);
+        basis_.orthogonalize(w, j + 1, {}, 1);
         for (std::size_t i = 0; i <= j; ++i)
           omega_[i] = omega_prev_[i] = kEps;
         return vec_norm(w);
@@ -418,7 +418,7 @@ const LanczosResult& Lanczos::loop(std::size_t j0) {
       // zero coupling keeps the exact block untouched.
       std::span<cplx> w = basis_.vec(jj);
       for (cplx& x : w) x = cplx(dist_(rng_), dist_(rng_));
-      basis_.project_out(w, jj, 2);
+      basis_.orthogonalize(w, jj, {}, 2);
       const double nw = vec_norm(w);
       if (nw == 0.0) {  // dim exhausted: nothing further to add
         result_.converged = all_done;

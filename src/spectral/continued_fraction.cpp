@@ -48,7 +48,7 @@ std::size_t SpectralFunction::build(std::span<const cplx> phi) {
     // Full two-pass reorthogonalization against the whole live basis: the
     // three-term recurrence would drift at exactly the depths where the
     // continued fraction starts resolving interior structure.
-    basis_.project_out(w, j + 1);
+    basis_.orthogonalize(w, j + 1);
     m_ = j + 1;
     if (opts_.progress) {
       telemetry::ProgressEvent ev;

@@ -51,23 +51,13 @@ std::span<const cplx> KrylovBasis::vec(std::size_t j) const {
 
 void KrylovBasis::orthogonalize(std::span<cplx> w, std::size_t count,
                                 std::span<cplx> h, int passes) const {
-  assert(w.size() == dim_ && count <= capacity_ && h.size() >= count);
+  assert(w.size() == dim_ && count <= capacity_ &&
+         (h.empty() || h.size() >= count));
   for (int pass = 0; pass < passes; ++pass) {
     for (std::size_t j = 0; j < count; ++j) {
       const cplx c = vec_dot(vec(j), w);
       vec_axpy(w, -c, vec(j));
-      h[j] += c;
-    }
-  }
-}
-
-void KrylovBasis::project_out(std::span<cplx> w, std::size_t count,
-                              int passes) const {
-  assert(w.size() == dim_ && count <= capacity_);
-  for (int pass = 0; pass < passes; ++pass) {
-    for (std::size_t j = 0; j < count; ++j) {
-      const cplx c = vec_dot(vec(j), w);
-      vec_axpy(w, -c, vec(j));
+      if (!h.empty()) h[j] += c;
     }
   }
 }

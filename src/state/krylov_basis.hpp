@@ -46,18 +46,16 @@ class KrylovBasis {
   std::span<cplx> vec(std::size_t j);
   std::span<const cplx> vec(std::size_t j) const;
 
-  /// Classical Gram-Schmidt: removes the components of slots [0, count)
+  /// Modified Gram-Schmidt: removes the components of slots [0, count)
   /// from w, accumulating the removed coefficients into h (h[j] +=
-  /// <v_j|w>). `passes` >= 2 gives the classic "twice is enough"
+  /// <v_j|w>) unless h is empty, in which case they are discarded (the
+  /// re-orthogonalization primitive of the Lanczos three-term recurrence).
+  /// `passes` >= 2 gives the classic "twice is enough"
   /// re-orthogonalization; corrections from later passes are folded into h
   /// so h always holds the total removed component. w must not alias any
   /// slot.
-  void orthogonalize(std::span<cplx> w, std::size_t count, std::span<cplx> h,
-                     int passes = 2) const;
-
-  /// Orthogonalization without coefficient recording (h discarded): the
-  /// re-orthogonalization primitive of the Lanczos three-term recurrence.
-  void project_out(std::span<cplx> w, std::size_t count, int passes = 2) const;
+  void orthogonalize(std::span<cplx> w, std::size_t count,
+                     std::span<cplx> h = {}, int passes = 2) const;
 
   /// y += sum_{j < count} coeffs[j] * v_j (Ritz vectors, exp(T) e1
   /// recombination). y must not alias any slot.

@@ -1,13 +1,15 @@
 #include "symmetry/sector_operator.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "ops/term.hpp"
-#include "simd/kernels.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/parallel.hpp"
 
@@ -15,10 +17,54 @@ namespace gecos {
 
 namespace {
 
-/// Upper bound on the total hop-target table size (bytes). Sectors beyond
-/// it fall back to the on-the-fly rank() path — correctness is identical,
-/// only the matvec constant differs.
-constexpr std::size_t kHopTableBudget = std::size_t{256} << 20;
+/// Modeled bytes per apply_add (the bytes_moved telemetry): per output row
+/// the diagonal, x[t], a read-modify-write of y[t] and one row offset (72 B);
+/// per gather entry the entry itself and the gathered x[src] (24 B). The
+/// 2K-entry coefficient table stays cache-resident and is not counted.
+constexpr std::uint64_t kRowBytes = 72;
+constexpr std::uint64_t kEntryBytes = 24;
+
+/// One transition-canonical word as sector masks (see ops/term.hpp
+/// TermKernel for the flip/select/sign decomposition). Canonical words have
+/// every flipped bit select-constrained, so a selected source configuration
+/// always maps to an in-sector target.
+struct SectorKernel {
+  std::uint64_t flip = 0;
+  std::uint64_t select_mask = 0;
+  std::uint64_t select_val = 0;
+  std::uint64_t sign_mask = 0;
+  cplx base;
+
+  bool selects(std::uint64_t cfg) const {
+    return (cfg & select_mask) == select_val;
+  }
+  bool negative(std::uint64_t cfg) const {
+    return (std::popcount(cfg & sign_mask) & 1) != 0;
+  }
+};
+
+/// Rows per block of the gather-row build.
+constexpr std::size_t kBuildBlock = 512;
+
+/// Runs body(first_rank, configs, n) over the sector in blocks of at most
+/// kBuildBlock consecutive ranks, in parallel over contiguous rank chunks;
+/// each chunk unranks once (config_at) and then steps with next_config.
+/// Bodies run every kernel across a whole block, so each selection test
+/// streams over consecutive configurations (vectorizable counts,
+/// predictable branches) while the output stays row-major.
+template <class Body>
+void for_config_blocks(const SectorBasis& basis, Body&& body) {
+  parallel_for(basis.dim(), [&](std::size_t lo, std::size_t hi, int) {
+    std::uint64_t cfg[kBuildBlock];
+    std::uint64_t c = basis.config_at(lo);
+    for (std::size_t b = lo; b < hi; b += kBuildBlock) {
+      const std::size_t n = std::min(kBuildBlock, hi - b);
+      for (std::size_t i = 0; i < n; ++i, c = basis.next_config(c))
+        cfg[i] = c;
+      body(b, cfg, n);
+    }
+  });
+}
 
 /// Rewrites one SCB word into the transition-canonical family: every X/Y
 /// factor branches into {s, s+} (X = s + s+, Y = i s+ - i s), all other
@@ -87,7 +133,7 @@ void SectorOperator::compile(const ScbSum& h) {
   // a nonzero species delta throws instead: loud beats wrong.
   const double tol = 1e-14;
   const auto species = basis_.species();
-  std::vector<SectorKernel> diagonal;
+  std::vector<SectorKernel> diagonal, hops;
   for (const auto& [word, coeff] : canon.terms()) {
     if (std::abs(coeff) <= tol) continue;
     for (const SpeciesSector& s : species) {
@@ -105,68 +151,69 @@ void SectorOperator::compile(const ScbSum& h) {
     const TermKernel tk(ScbTerm(coeff, word, false));
     const SectorKernel k{tk.flip, tk.select_mask, tk.select_val, tk.sign_mask,
                          tk.base};
-    (k.flip == 0 ? diagonal : kernels_).push_back(k);
+    (k.flip == 0 ? diagonal : hops).push_back(k);
   }
-  num_diagonal_ = diagonal.size();
-  if (kernels_.empty() && diagonal.empty())
+  num_kernels_ = diagonal.size() + hops.size();
+  if (num_kernels_ == 0)
     throw std::invalid_argument(
         "SectorOperator: operator vanishes in canonical form");
   // Same instrumentation site as ScbSum's kernel rebuild: every surviving
   // canonical word cost one TermKernel mask compilation.
-  telemetry::count(telemetry::Counter::kernel_compiles,
-                   kernels_.size() + num_diagonal_);
+  telemetry::count(telemetry::Counter::kernel_compiles, num_kernels_);
 
-  // Fetch the shared rank -> configuration table (one enumeration walk per
-  // sector process-wide; the hot loop only loads it) and fuse every
-  // diagonal word into one per-rank coefficient vector: U/mu-style terms
-  // then cost a single pass per apply instead of one sweep each.
   const std::size_t d = basis_.dim();
-  configs_ = shared_config_table(basis_);
-  const std::uint64_t* const cfgs = configs_->data();
-  if (!diagonal.empty()) {
-    diag_.assign(d, cplx(0.0));
-    for (const SectorKernel& k : diagonal) {
-      parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          const std::uint64_t c = cfgs[r];
-          if ((c & k.select_mask) == k.select_val) {
-            const bool neg = (std::popcount(c & k.sign_mask) & 1) != 0;
-            diag_[r] += neg ? -k.base : k.base;
-          }
-        }
-      });
-    }
+  if (d > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument(
+        "SectorOperator: sector dimension exceeds the 32-bit source-rank "
+        "range of the gather form");
+  for (const SectorKernel& k : hops) {
+    coefs_.push_back(k.base);
+    coefs_.push_back(-k.base);
   }
 
-  // Hop-target tables: fold the selection test, the Jordan-Wigner sign and
-  // the rank(cfg ^ flip) lookup of every hop kernel into one uint32 per
-  // (kernel, rank), so apply_add streams through the table instead of
-  // re-deriving them per matvec. Rank and sign share 32 bits, so the table
-  // needs d small enough that rank | sign-bit cannot collide with the skip
-  // sentinel; larger sectors (or tables past the memory budget) keep the
-  // on-the-fly path.
-  if (!kernels_.empty() && d < std::size_t{0x7FFFFFFF} &&
-      kernels_.size() * d * sizeof(std::uint32_t) <= kHopTableBudget) {
-    hop_targets_.resize(kernels_.size() * d);
-    for (std::size_t j = 0; j < kernels_.size(); ++j) {
-      const SectorKernel& k = kernels_[j];
-      std::uint32_t* tgt = hop_targets_.data() + j * d;
-      parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          const std::uint64_t cfg = cfgs[r];
-          if ((cfg & k.select_mask) != k.select_val) {
-            tgt[r] = simd::kHopSkip;
-            continue;
-          }
-          std::uint32_t t =
-              static_cast<std::uint32_t>(basis_.rank(cfg ^ k.flip));
-          if ((std::popcount(cfg & k.sign_mask) & 1) != 0)
-            t |= simd::kHopSignBit;
-          tgt[r] = t;
-        }
-      });
+  // Gather rows in two parallel passes (see for_config_blocks). Pass 1
+  // fuses the diagonal words into diag_ and counts each row's hop sources:
+  // kernel j reaches row t from t ^ flip_j when that source passes the
+  // kernel's selection test. A prefix sum turns the counts into offsets.
+  diag_.assign(d, cplx(0.0));
+  row_ptr_.assign(d + 1, 0);
+  for_config_blocks(basis_, [&](std::size_t b, const std::uint64_t* cfg,
+                                std::size_t n) {
+    cplx* const dg = diag_.data() + b;
+    for (const SectorKernel& k : diagonal)
+      for (std::size_t i = 0; i < n; ++i)
+        if (k.selects(cfg[i])) dg[i] += k.negative(cfg[i]) ? -k.base : k.base;
+    std::uint64_t* const count = row_ptr_.data() + b + 1;
+    for (const SectorKernel& k : hops)
+      for (std::size_t i = 0; i < n; ++i)
+        count[i] += k.selects(cfg[i] ^ k.flip);
+  });
+  std::partial_sum(row_ptr_.begin(), row_ptr_.end(), row_ptr_.begin());
+
+  // Pass 2 appends each row's entries in kernel order: the source rank and
+  // the signed coefficient's index (2j for +base_j, 2j + 1 for -base_j).
+  entries_.resize(row_ptr_[d]);
+  for_config_blocks(basis_, [&](std::size_t b, const std::uint64_t* cfg,
+                                std::size_t n) {
+    std::uint64_t next[kBuildBlock];
+    std::copy_n(row_ptr_.data() + b, n, next);
+    for (std::size_t j = 0; j < hops.size(); ++j) {
+      const SectorKernel& k = hops[j];
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t src = cfg[i] ^ k.flip;
+        if (!k.selects(src)) continue;
+        entries_[next[i]++] = {
+            static_cast<std::uint32_t>(basis_.rank(src)),
+            static_cast<std::uint32_t>(2 * j + k.negative(src))};
+      }
     }
-  }
+  });
+}
+
+std::size_t SectorOperator::layout_bytes() const {
+  return diag_.size() * sizeof(cplx) + coefs_.size() * sizeof(cplx) +
+         row_ptr_.size() * sizeof(std::uint64_t) +
+         entries_.size() * sizeof(Entry);
 }
 
 void SectorOperator::apply_add(std::span<const cplx> x, std::span<cplx> y,
@@ -175,55 +222,41 @@ void SectorOperator::apply_add(std::span<const cplx> x, std::span<cplx> y,
          "SectorOperator::apply_add: x and y must not alias");
   assert(x.size() == basis_.dim() && y.size() == basis_.dim());
   const std::size_t d = basis_.dim();
-  const simd::Kernels& kn = simd::active();
   if (telemetry::metrics_enabled()) {
-    // Same traffic model as the bench roofline: 48 B/amplitude for the
-    // fused diagonal pass, 52 B/amplitude per table-driven hop kernel
-    // (48 B without tables).
-    const std::uint64_t d64 = d;
-    const std::uint64_t diag = diag_.empty() ? 0 : 1;
-    const std::uint64_t hops = kernels_.size();
-    const std::uint64_t hop_bytes = hop_targets_.empty() ? 48 : 52;
-    telemetry::count(telemetry::Counter::kernel_sweeps, diag + hops);
-    telemetry::count(telemetry::Counter::amplitudes_touched,
-                     (diag + hops) * d64);
+    const std::uint64_t nnz = entries_.size();
+    telemetry::count(telemetry::Counter::kernel_sweeps);
+    telemetry::count(telemetry::Counter::amplitudes_touched, d + nnz);
     telemetry::count(telemetry::Counter::bytes_moved,
-                     diag * 48 * d64 + hops * hop_bytes * d64);
+                     kRowBytes * d + kEntryBytes * nnz);
   }
-  // Fused diagonal first (rank-preserving: each chunk owns its y range),
-  // one wide elementwise pass through the dispatch layer.
-  if (!diag_.empty()) {
-    parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-      kn.diag_mul_add(y.data() + lo, diag_.data() + lo, x.data() + lo,
-                      hi - lo, scale);
-    });
-  }
-  // Hop kernels, term order: x -> x ^ flip is a bijection on configurations
-  // and stays inside the sector (conservation), so the scattered writes of
-  // distinct input chunks never collide. With precomputed target tables the
-  // sweep is a pure gather/scatter (hop_scatter); without them it re-derives
-  // selection, sign and rank per state.
-  for (std::size_t j = 0; j < kernels_.size(); ++j) {
-    const SectorKernel& k = kernels_[j];
-    const cplx base = k.base * scale;
-    if (!hop_targets_.empty()) {
-      const std::uint32_t* tgt = hop_targets_.data() + j * d;
-      parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-        kn.hop_scatter(y.data(), x.data() + lo, tgt + lo, hi - lo, base);
-      });
-      continue;
-    }
-    const std::uint64_t* const cfgs = configs_->data();
-    parallel_for(d, [&](std::size_t lo, std::size_t hi, int) {
-      for (std::size_t r = lo; r < hi; ++r) {
-        const std::uint64_t cfg = cfgs[r];
-        if ((cfg & k.select_mask) == k.select_val) {
-          const bool neg = (std::popcount(cfg & k.sign_mask) & 1) != 0;
-          y[basis_.rank(cfg ^ k.flip)] += (neg ? -base : base) * x[r];
-        }
+  // One sweep over output rows: h = d[t] x[t] + sum_e coef[e] x[src[e]] in
+  // entry order, then y[t] += scale * h. Each chunk writes only its own
+  // rows, so any thread count gives the same bits. Real arithmetic on
+  // double views (std::complex is array-compatible): std::complex's
+  // operator* carries a NaN-recovery branch, and complex temporaries get
+  // spilled and reloaded as vectors, a store-forwarding stall per entry.
+  const double* const xd = reinterpret_cast<const double*>(x.data());
+  const double* const dd = reinterpret_cast<const double*>(diag_.data());
+  const double* const cd = reinterpret_cast<const double*>(coefs_.data());
+  double* const yd = reinterpret_cast<double*>(y.data());
+  const Entry* const ent = entries_.data();
+  const std::uint64_t* const rp = row_ptr_.data();
+  const double sr = scale.real(), si = scale.imag();
+  parallel_for(d, [=](std::size_t lo, std::size_t hi, int) {
+    for (std::size_t t = lo; t < hi; ++t) {
+      const double xr = xd[2 * t], xi = xd[2 * t + 1];
+      double re = dd[2 * t] * xr - dd[2 * t + 1] * xi;
+      double im = dd[2 * t] * xi + dd[2 * t + 1] * xr;
+      for (std::uint64_t e = rp[t]; e < rp[t + 1]; ++e) {
+        const double* c = cd + 2 * std::size_t{ent[e].coef};
+        const double* v = xd + 2 * std::size_t{ent[e].src};
+        re += c[0] * v[0] - c[1] * v[1];
+        im += c[0] * v[1] + c[1] * v[0];
       }
-    });
-  }
+      yd[2 * t] += sr * re - si * im;
+      yd[2 * t + 1] += sr * im + si * re;
+    }
+  });
 }
 
 }  // namespace gecos

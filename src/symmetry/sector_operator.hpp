@@ -1,10 +1,10 @@
 // SectorOperator: a number-conserving Hamiltonian restricted to a sector.
 //
 // Takes a symbolic sum (ScbSum or PauliSum) that commutes with every species
-// number operator of a SectorBasis and applies it matrix-free *within* the
-// sector: the LinearOperator dim() is the sector dimension, so Lanczos,
-// KrylovEvolver and the imaginary-time projector run on sector vectors
-// unchanged — same interface, exponentially fewer amplitudes.
+// number operator of a SectorBasis and applies it *within* the sector: the
+// LinearOperator dim() is the sector dimension, so Lanczos, KrylovEvolver
+// and the imaginary-time projector run on sector vectors unchanged — same
+// interface, exponentially fewer amplitudes.
 //
 // Construction first rewrites the sum into *transition-canonical* form:
 // every X/Y factor branches into the transition family (X = s + s+,
@@ -21,43 +21,45 @@
 // — none of the builders in this repo produce such forms.)
 //
 // Each surviving word then compiles into a mask kernel (the
-// flip/select/sign decomposition of ops/term.hpp's TermKernel). All
-// *diagonal* kernels (no flips — the U and mu terms of a Hubbard
-// Hamiltonian) are folded into ONE precomputed per-rank diagonal vector at
-// construction, so they cost a single fused pass per apply instead of one
-// sweep each; every *hop* kernel moves each selected configuration to its
-// ranked image rank(x ^ flip), which conservation guarantees is in the
-// sector. The rank -> configuration table is also precomputed (8 bytes per
-// sector state), so the hot loop never walks the enumeration.
+// flip/select/sign decomposition of ops/term.hpp's TermKernel), and the
+// kernels compile once more into a row-major *gather form*: output rank t
+// holds its fused diagonal d[t] (every flip-free word — the U and mu terms
+// of a Hubbard Hamiltonian — summed at construction) plus one entry
+// {source rank, coefficient index} per hop kernel that reaches t, stored in
+// kernel order. Hop kernel j contributes (+-base_j) * x[rank(t ^ flip_j)]
+// when the source configuration t ^ flip_j passes the kernel's selection
+// test; the sign is folded into the index into a 2K-entry {+base, -base}
+// coefficient table. Conservation guarantees every source lies in the
+// sector.
 //
-// apply_add parallelizes the diagonal pass and each hop kernel over
-// contiguous rank chunks of the input; a kernel's configuration map
-// x -> x ^ flip is a bijection, so no two chunks ever write the same output
-// rank (the library-wide output-partitioning rule) and results are
-// deterministic for any thread count. Nothing allocates after
+// apply_add is one sweep over output ranks,
+//   y[t] += scale * (d[t] x[t] + sum_e coef[e] x[src[e]]),
+// parallelized over contiguous output-rank chunks: each chunk writes only
+// its own rows (the library-wide output-partitioning rule), so results are
+// bitwise deterministic for any thread count. Nothing allocates after
 // construction. See DESIGN.md "Symmetry sectors".
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "ops/linear_op.hpp"
 #include "ops/pauli.hpp"
 #include "ops/scb_sum.hpp"
-#include "symmetry/config_table.hpp"
 #include "symmetry/sector_basis.hpp"
 
 namespace gecos {
 
-/// Matrix-free restriction of a number-conserving operator to a sector.
+/// Restriction of a number-conserving operator to a sector, compiled to
+/// per-row gather lists.
 class SectorOperator : public LinearOperator {
  public:
-  /// Compiles the sum's bare terms into sector kernels. Throws
+  /// Compiles the sum's bare terms into the sector gather form. Throws
   /// std::invalid_argument when the sum is empty, its qubit count differs
-  /// from the basis, or the transition-canonical conservation check finds a
-  /// word with a nonzero species particle-number change.
+  /// from the basis, the transition-canonical conservation check finds a
+  /// word with a nonzero species particle-number change, or the sector has
+  /// 2^32 or more states (source ranks are 32-bit).
   SectorOperator(SectorBasis basis, const ScbSum& h);
   /// Same, from a Pauli-string sum (each string is an SCB word already).
   SectorOperator(SectorBasis basis, const PauliSum& h);
@@ -68,65 +70,44 @@ class SectorOperator : public LinearOperator {
   std::size_t n_qubits() const override { return basis_.n_qubits(); }
   /// Sector dimension — the vector length apply_add works on (NOT 2^n).
   std::size_t dim() const override { return basis_.dim(); }
-  /// Surviving transition-canonical words: hop kernels plus the number of
-  /// diagonal words fused into the precomputed diagonal (X/Y factors branch
-  /// at construction and canceling branches merge away, so this can differ
+  /// Surviving transition-canonical words: hop kernels plus the diagonal
+  /// words fused into the per-rank diagonal (X/Y factors branch at
+  /// construction and canceling branches merge away, so this can differ
   /// from the input term count).
-  std::size_t num_kernels() const { return kernels_.size() + num_diagonal_; }
-  /// Hop (off-diagonal) kernels only — the per-apply sweeps after the fused
-  /// diagonal pass (used by the bench traffic model).
-  std::size_t num_hop_kernels() const { return kernels_.size(); }
-  /// True when a fused precomputed diagonal pass runs per apply.
-  bool has_fused_diagonal() const { return !diag_.empty(); }
-  /// True when the hop kernels run off precomputed rank-target tables
-  /// (rank, sign and selection folded into one uint32 per state — see the
-  /// compile() notes) instead of on-the-fly rank() lookups.
-  bool has_hop_tables() const { return !hop_targets_.empty(); }
-  /// True when this operator and o hold the same shared rank -> config
-  /// table (equal sectors, table still live when the later one compiled).
-  /// Diagnostic for the cache tests and the serve artifact layer.
-  bool shares_config_table(const SectorOperator& o) const {
-    return configs_ != nullptr && configs_ == o.configs_;
-  }
+  std::size_t num_kernels() const { return num_kernels_; }
+  /// Gather entries over all rows: the number of nonzero off-diagonal
+  /// matrix elements of the sector-restricted operator.
+  std::size_t num_entries() const { return entries_.size(); }
+  /// Heap bytes of the compiled gather form (diagonal, row offsets, entries
+  /// and coefficient table) — what a cache holding this operator pins.
+  std::size_t layout_bytes() const;
 
   /// Two-argument accumulate and overwriting apply from the base class.
   using LinearOperator::apply_add;
   /// y += scale * (P H P) x over sector ranks (x.size() == dim(); x and y
-  /// distinct buffers, asserted). One parallel sweep per kernel,
+  /// distinct buffers, asserted). One parallel sweep over output ranks,
   /// allocation-free and deterministic for any thread count.
   void apply_add(std::span<const cplx> x, std::span<cplx> y,
                  cplx scale) const override;
 
  private:
-  /// One transition-canonical hop word as sector masks (see ops/term.hpp
-  /// TermKernel for the flip/select/sign decomposition). Canonical words
-  /// have every flipped bit select-constrained, so no membership filtering
-  /// is ever needed at apply time.
-  struct SectorKernel {
-    std::uint64_t flip = 0;
-    std::uint64_t select_mask = 0;
-    std::uint64_t select_val = 0;
-    std::uint64_t sign_mask = 0;
-    cplx base;
+  /// One gather entry: the source rank and the index into coefs_ of its
+  /// signed kernel coefficient.
+  struct Entry {
+    std::uint32_t src = 0;
+    std::uint32_t coef = 0;
   };
 
   /// Shared constructor body: canonicalization + conservation check +
-  /// kernel compilation + config/diagonal table precomputation.
+  /// kernel compilation + the two-pass gather-row build.
   void compile(const ScbSum& h);
 
   SectorBasis basis_;
-  std::vector<SectorKernel> kernels_;        // hop kernels, term order
-  std::size_t num_diagonal_ = 0;             // words fused into diag_
-  // Shared rank -> configuration table from the process-wide registry
-  // (symmetry/config_table.hpp): equal sectors share one table.
-  std::shared_ptr<const ConfigTable> configs_;
-  std::vector<cplx> diag_;                   // fused diagonal (empty if none)
-  // Per-hop-kernel target tables (kernels_.size() * dim entries): entry r
-  // packs rank(cfg ^ flip), the (-1)^{pc(sign & cfg)} sign bit and the
-  // selection test into one uint32 (simd::kHopSkip when unselected), so the
-  // apply loop is a pure streaming gather/scatter with no rank() walk.
-  // Empty when the sector is too large for the table budget.
-  std::vector<std::uint32_t> hop_targets_;
+  std::size_t num_kernels_ = 0;
+  std::vector<cplx> diag_;              // fused diagonal, one per rank
+  std::vector<cplx> coefs_;             // {+base_j, -base_j} per hop kernel
+  std::vector<std::uint64_t> row_ptr_;  // dim + 1 offsets into entries_
+  std::vector<Entry> entries_;          // per-row gather lists, kernel order
 };
 
 }  // namespace gecos

@@ -172,10 +172,6 @@ const char* counter_name(Counter c) {
       return "spans_dropped";
     case Counter::kernel_compiles:
       return "kernel_compiles";
-    case Counter::sector_table_builds:
-      return "sector_table_builds";
-    case Counter::sector_table_hits:
-      return "sector_table_hits";
     case Counter::artifact_hits:
       return "artifact_hits";
     case Counter::artifact_misses:

@@ -59,8 +59,6 @@ enum class Counter : int {
   pool_chunks,         ///< chunks executed across all pool dispatches
   spans_dropped,       ///< trace span events overwritten in a full ring
   kernel_compiles,     ///< term kernels compiled (ScbSum + SectorOperator)
-  sector_table_builds, ///< sector rank->config tables materialized
-  sector_table_hits,   ///< sector table requests served from the registry
   artifact_hits,       ///< serve artifact-cache lookups that hit
   artifact_misses,     ///< serve artifact-cache lookups that built
   artifact_evictions,  ///< serve artifact-cache entries evicted (LRU)

@@ -3,9 +3,9 @@
 // warm-up" claims are pinned by a test instead of asserted in prose.
 //
 // Including this header replaces the global operator new/delete family with
-// malloc-backed versions that bump a counter. Under ASan/UBSan the probe
-// compiles to a no-op (GECOS_ALLOC_PROBE_ACTIVE 0): the sanitizer runtime
-// owns the allocator there, and its own bookkeeping allocations would make
+// malloc-backed versions that bump a counter. Under ASan/UBSan and TSan the
+// probe compiles to a no-op (GECOS_ALLOC_PROBE_ACTIVE 0): the sanitizer
+// runtime owns the allocator there, and its own bookkeeping allocations would make
 // the counts meaningless anyway. Guard probe assertions with
 // GECOS_ALLOC_PROBE_ACTIVE.
 #pragma once
@@ -15,10 +15,10 @@
 #include <cstdlib>
 #include <new>
 
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define GECOS_ALLOC_PROBE_ACTIVE 0
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define GECOS_ALLOC_PROBE_ACTIVE 0
 #else
 #define GECOS_ALLOC_PROBE_ACTIVE 1

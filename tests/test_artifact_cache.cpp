@@ -3,8 +3,9 @@
 // pinned entries exempt, clear() semantics, and the three serve-layer
 // artifact builders (Hamiltonian ScbSum, compiled sector operator, compiled
 // observable) — including the headline warm-path property that a cache hit
-// skips kernel compilation and sector-table construction entirely
-// (telemetry deltas pinned at zero).
+// skips kernel compilation and the gather-row build entirely (telemetry
+// deltas pinned at zero), and that a compiled operator is charged the
+// bytes it reports.
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -175,7 +176,16 @@ int main() {
     CHECK(cached_observable(cache, p, 3, 3, doublon).get() != o1.get());
   }
 
-  // -- the warm path skips kernel compiles and sector-table builds ----------
+  // -- a compiled operator is charged its own layout bytes ------------------
+  {
+    ArtifactCache cache(std::size_t{256} << 20);
+    const ObservableSpec obs{ObservableKind::kDoublon, 2, 0};
+    const auto op = cached_observable(cache, quick_lattice(), 3, 3, obs);
+    CHECK(op->layout_bytes() > 0);
+    CHECK_EQ(cache.resident_bytes(), op->layout_bytes());
+  }
+
+  // -- the warm path skips kernel compiles and rebuilds nothing -------------
   {
     telemetry::set_metrics_enabled(true);
     ArtifactCache cache(std::size_t{256} << 20);
@@ -194,7 +204,6 @@ int main() {
     const auto warm = telemetry::metrics_delta(before_warm, after_warm);
     CHECK(warm_op.get() == op.get());
     CHECK_EQ(warm.counter(telemetry::Counter::kernel_compiles), 0u);
-    CHECK_EQ(warm.counter(telemetry::Counter::sector_table_builds), 0u);
     CHECK(warm.counter(telemetry::Counter::artifact_hits) > 0);
     CHECK_EQ(warm.counter(telemetry::Counter::artifact_misses), 0u);
     telemetry::set_metrics_enabled(false);

@@ -1,12 +1,13 @@
 // SectorOperator suite: sector-restricted apply against the full-space
 // P H P reference (embed -> full matrix-free apply -> project) on Hubbard
-// lattices and ad-hoc conserving sums, the per-term classification paths
-// (diagonal, hop, filtered XX+YY, statically dead), the symbolic
+// lattices, a random two-body sum and ad-hoc conserving sums (diagonal-only,
+// hop-only, filtered XX+YY), the per-term classification paths, the symbolic
 // conservation rejection, PauliSum-vs-ScbSum construction agreement,
 // embed/project round trips, thread-count determinism, and the
 // zero-allocation pin on warm sector matvecs.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +15,7 @@
 // clang-format on
 
 #include "fermion/hubbard.hpp"
+#include "fermion/jordan_wigner.hpp"
 #include "linalg/blas1.hpp"
 #include "ops/scb_sum.hpp"
 #include "symmetry/sector_operator.hpp"
@@ -25,21 +27,26 @@ using namespace gecos;
 
 namespace {
 
-/// Max |(P H P) x - sector_apply(x)| over a random sector state: embeds x,
-/// applies the full-space operator, projects back, and compares against the
-/// sector operator's own apply.
+/// Max |y0 + scale (P H P) x - sector_apply_add(x, y0, scale)| over random
+/// sector states x and y0: embeds x, applies the full-space operator,
+/// projects back, and compares against the sector operator's own
+/// accumulate.
 double sector_vs_full(const SectorBasis& basis, const ScbSum& h,
-                      std::uint64_t seed) {
+                      std::uint64_t seed, cplx scale = cplx(1.0)) {
   const SectorOperator hs(basis, h);
-  SectorVector x = SectorVector::random(basis, seed);
+  const SectorVector x = SectorVector::random(basis, seed);
+  const SectorVector y0 = SectorVector::random(basis, seed + 1000);
 
-  SectorVector y_sector = x;
-  y_sector.apply(hs);
+  SectorVector y_sector = y0;
+  hs.apply_add(x.amps(), y_sector.amps(), scale);
 
   StateVector full = x.embed();
   full.apply(h);
-  const SectorVector y_full = SectorVector::project(basis, full);
-  return y_sector.max_abs_diff(y_full);
+  const SectorVector hx = SectorVector::project(basis, full);
+  double diff = 0.0;
+  for (std::size_t r = 0; r < basis.dim(); ++r)
+    diff = std::max(diff, std::abs(y_sector[r] - (y0[r] + scale * hx[r])));
+  return diff;
 }
 
 }  // namespace
@@ -80,6 +87,39 @@ int main() {
     for (std::size_t n : {std::size_t{1}, std::size_t{2}})
       CHECK(sector_vs_full(SectorBasis::fixed_number(3, n), hop, 7 + n) <
             1e-13);
+  }
+
+  // -- random two-body sum: many distinct complex coefficients, 4-flip words
+  // and long Jordan-Wigner strings, at a complex scale ----------------------
+  {
+    const ScbSum h = jw_sum(random_two_body(10, 12, 24, 2024), 10);
+    const SectorBasis b = SectorBasis::fixed_number(10, 4);
+    CHECK(sector_vs_full(b, h, 61, cplx(0.35, -1.2)) < 1e-12);
+  }
+
+  // -- diagonal-only operator: no gather entries, the diagonal alone --------
+  {
+    ScbSum h(6);
+    h.add(ScbTerm::parse("n n I I I I", cplx(1.5), false));
+    h.add(ScbTerm::parse("I Z I I m I", cplx(-0.4), false));
+    h.add(ScbTerm::parse("I I I n I Z", cplx(0.25), false));
+    const SectorBasis b = SectorBasis::fixed_number(6, 3);
+    CHECK_EQ(SectorOperator(b, h).num_entries(), std::size_t{0});
+    CHECK(sector_vs_full(b, h, 67, cplx(-0.8, 0.6)) < 1e-13);
+  }
+
+  // -- hop-only operator: gather entries and a zero diagonal ----------------
+  {
+    ScbSum h(7);
+    for (std::size_t q = 0; q < 7; ++q) {
+      std::vector<Scb> word(7, Scb::I);
+      word[q] = Scb::Sp;
+      word[(q + 2) % 7] = Scb::Sm;
+      h.add(word, cplx(0.6, 0.05 * static_cast<double>(q)));
+    }
+    const SectorBasis b = SectorBasis::fixed_number(7, 3);
+    CHECK(SectorOperator(b, h).num_entries() > 0);
+    CHECK(sector_vs_full(b, h, 71, cplx(0.5, 0.5)) < 1e-13);
   }
 
   // -- conservation check rejects non-commuting operators --------------------

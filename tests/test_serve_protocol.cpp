@@ -3,7 +3,8 @@
 // framed socket IO including truncation and oversize rejection, the error
 // frame round trip, and a live in-process Server + Client integration over
 // a real unix-domain socket (submit / status / fetch / cancel / stats /
-// error passthrough / version-mismatch handshake / shutdown).
+// error passthrough / version-mismatch handshake / a client that hangs up
+// before its error reply / shutdown).
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -25,6 +26,19 @@ using namespace gecos;
 using namespace gecos::serve;
 
 namespace {
+
+/// Raw connected unix-socket fd (no handshake), for hand-rolled frames.
+int connect_raw(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  CHECK(fd >= 0);
+  CHECK_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+           0);
+  return fd;
+}
 
 bool throws_kind(ErrorKind kind, const std::function<void()>& fn) {
   try {
@@ -448,14 +462,7 @@ int main() {
     Server server2(scheduler, sock);
     std::thread serve2([&] { server2.serve(); });
     {
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      CHECK(fd >= 0);
-      CHECK_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                         sizeof(addr)),
-               0);
+      const int fd = connect_raw(sock);
       PayloadWriter w;
       w.put_u32(static_cast<std::uint32_t>(MsgType::kHello));
       w.put_string(std::string(kServeMagic, sizeof(kServeMagic)));
@@ -466,6 +473,25 @@ int main() {
         (void)expect_reply(reply, MsgType::kHelloOk);
       }));
       ::close(fd);
+    }
+    // A client that sends one 8-byte frame (len = 4, unknown MsgType
+    // 0xFFFF) and closes before the reply: the daemon's kError reply hits a
+    // closed socket (EPIPE), which must drop that connection rather than
+    // kill the process with SIGPIPE. A handshaken holder occupies the
+    // one-connection-at-a-time server, so the raw client's frame and close
+    // are both queued before the server reads them.
+    {
+      Client holder(sock);
+      const int fd = connect_raw(sock);
+      const std::uint32_t frame[2] = {4, 0xFFFF};
+      CHECK_EQ(::send(fd, frame, sizeof(frame), 0),
+               static_cast<ssize_t>(sizeof(frame)));
+      ::close(fd);
+    }
+    // The daemon survived and still answers a second client.
+    {
+      Client client(sock);
+      CHECK_EQ(client.stats().submitted, 1u);
     }
     // Clean shutdown of the second server via a well-behaved client.
     {
