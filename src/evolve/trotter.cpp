@@ -22,14 +22,28 @@ namespace {
 /// call; the scalar walk handles them.
 constexpr int kMinRunBits = 3;
 
-/// Batch-group caps: at most this many rotations share one traversal, their
-/// combined flip orbit stays within kMaxBatchFlipBits bits, and the full
-/// cell (flip orbit x contiguous run) stays within kMaxBatchCellBits bits
-/// (2^11 amplitudes = 32 KiB — L1-resident, which is where the intra-cell
-/// reuse that makes batching a bandwidth win comes from).
+/// Batch-group caps: at most this many rotations share one traversal and
+/// their combined flip orbit stays within kMaxBatchFlipBits bits.
 constexpr std::size_t kMaxBatchMembers = 6;
 constexpr int kMaxBatchFlipBits = 8;
-constexpr int kMaxBatchCellBits = 11;
+
+/// Batch cell cap: a cell (flip orbit x contiguous run) spans at most
+/// 2^17 amplitudes = 2 MiB, L2-resident, where the intra-cell reuse that
+/// makes batching a bandwidth win comes from. The cell is also the unit of
+/// DRAM access: it is 2^flip_bits fragments of one run each, so a larger
+/// cap means longer runs (at n = 24 an L1-sized 2^11 cap left 256 scattered
+/// 128-byte fragments per cell). The cap shrinks until the state holds at
+/// least 2^kCellsPerWorkerBits cells per worker, so the pool stays busy,
+/// but never below the 2^11 floor: there a run is still at least
+/// 2^(11 - kMaxBatchFlipBits) = 2^kMinRunBits long wherever the state
+/// allows one, so the short-run scalar fallback (which does not round like
+/// pair_rot) never takes over from the wide kernel. Cell size only regroups
+/// which pairs a traversal visits together; every amplitude sees the same
+/// rotations with the same arithmetic in the same order, so the step is
+/// bitwise independent of the cap and hence of the thread count.
+constexpr int kMaxBatchCellBits = 17;
+constexpr int kMinBatchCellBits = 11;
+constexpr int kCellsPerWorkerBits = 2;
 
 /// Upper bound on one fused diagonal group's table memory (angle + phase,
 /// 24 bytes per basis state). Groups past it stay unfused singles.
@@ -470,12 +484,18 @@ void TrotterEvolver::apply_batch(const Group& g, double dt, std::span<cplx> x,
   // low-bit run outside every member's support: every rotation of the batch
   // reads and writes only within one cell, so cells parallelize race-free
   // and the traversal touches each amplitude's cache line once.
+  const int worker_bits =
+      std::bit_width(static_cast<unsigned>(num_threads() - 1));
+  const int cell_cap =
+      std::clamp(std::countr_zero(x.size()) - kCellsPerWorkerBits -
+                     worker_bits,
+                 kMinBatchCellBits, kMaxBatchCellBits);
   std::uint64_t run_mask =
       trailing_run_mask(dim_mask & ~support & ~g.flip_union);
   int run_bits = std::popcount(run_mask);
   const int flip_bits = std::popcount(g.flip_union);
-  if (run_bits > kMaxBatchCellBits - flip_bits) {
-    run_bits = std::max(0, kMaxBatchCellBits - flip_bits);
+  if (run_bits > cell_cap - flip_bits) {
+    run_bits = std::max(0, cell_cap - flip_bits);
     run_mask = (std::uint64_t{1} << run_bits) - 1;
   }
   const std::size_t run = std::size_t{1} << run_bits;

@@ -23,8 +23,9 @@
 //     rebuilt allocation-free when dt changes) applied in a single sweep;
 //   * rotation batches — pair rotations whose flips stay out of each
 //     other's flip/select support are applied cell-by-cell (cells = orbits
-//     of the combined flip masks, so cells never share amplitudes across
-//     parallel chunks) in one traversal instead of one sweep per term.
+//     of the combined flip masks times a contiguous run, L2-sized, so cells
+//     never share amplitudes across parallel chunks) in one traversal
+//     instead of one sweep per term. See DESIGN.md "Rotation-batch cells".
 //
 // See DESIGN.md "SIMD kernels & runtime dispatch" for the legality rules.
 #pragma once

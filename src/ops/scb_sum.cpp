@@ -4,9 +4,11 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "ops/conversion.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/error.hpp"
 
 namespace gecos {
 
@@ -202,24 +204,41 @@ Matrix ScbSum::to_matrix() const {
   return m;
 }
 
+const std::vector<TermKernel>& ScbSum::kernels() const {
+  ScbKernelCache& cache = ensure_cache();
+  // Guarded rebuild: several threads may share this sum const-ly (e.g.
+  // expectation values from a measurement pool); only one rebuilds.
+  std::scoped_lock<std::mutex> lk(cache.mutex);
+  if (cache.dirty) {
+    cache.kernels.clear();
+    cache.kernels.reserve(terms_.size());
+    for (const auto& [word, c] : terms_)
+      cache.kernels.emplace_back(ScbTerm(c, word, false));
+    cache.dirty = false;
+    telemetry::count(telemetry::Counter::kernel_compiles, terms_.size());
+  }
+  return cache.kernels;
+}
+
 void ScbSum::apply_add(std::span<const cplx> x, std::span<cplx> y,
                        cplx scale) const {
   assert(x.data() != y.data() && "ScbSum::apply_add: x, y must not alias");
-  ScbKernelCache& cache = ensure_cache();
-  {
-    // Guarded rebuild: several threads may share this sum const-ly (e.g.
-    // expectation values from a measurement pool); only one rebuilds.
-    std::scoped_lock<std::mutex> lk(cache.mutex);
-    if (cache.dirty) {
-      cache.kernels.clear();
-      cache.kernels.reserve(terms_.size());
-      for (const auto& [word, c] : terms_)
-        cache.kernels.emplace_back(ScbTerm(c, word, false));
-      cache.dirty = false;
-      telemetry::count(telemetry::Counter::kernel_compiles, terms_.size());
-    }
-  }
-  for (const TermKernel& k : cache.kernels) k.apply_add(x, y, scale);
+  for (const TermKernel& k : kernels()) k.apply_add(x, y, scale);
+}
+
+cplx ScbSum::expectation(std::span<const cplx> x) const {
+  if (x.size() != dim())
+    throw std::invalid_argument("ScbSum::expectation: size mismatch");
+  cplx s = 0;
+  for (const TermKernel& k : kernels()) s += k.expectation(x);
+  // vec_dot's health sweep: a NaN/Inf among the amplitudes the terms read
+  // poisons the sum (the per-term walks run in parallel_for bodies, which
+  // must not throw, so the check lives on the combined scalar).
+  if (!std::isfinite(s.real()) || !std::isfinite(s.imag()))
+    throw Error(ErrorKind::numerical_nan,
+                "ScbSum::expectation: non-finite amplitude in a vector of "
+                "dim " + std::to_string(x.size()));
+  return s;
 }
 
 std::string ScbSum::str() const {

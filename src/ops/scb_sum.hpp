@@ -131,6 +131,15 @@ class ScbSum : public LinearOperator {
   void apply_add(std::span<const cplx> x, std::span<cplx> y,
                  cplx scale) const override;
 
+  /// <x| A |x> read-only: each cached TermKernel sums
+  /// conj(x[s ^ flip]) * amp(s) * x[s] over its selected states (see
+  /// TermKernel::expectation), term by term in word order — no output
+  /// buffer, so StateVector::expectation(const ScbSum&) needs no scratch.
+  /// Deterministic for a fixed thread count. Throws std::invalid_argument
+  /// unless x.size() == 2^n, and Error{numerical_nan} when a read amplitude
+  /// is NaN/Inf (the same guard as vec_dot).
+  cplx expectation(std::span<const cplx> x) const;
+
   /// True when this sum and o currently share one compiled-kernel cache
   /// (i.e. they are copies with no intervening mutation). Diagnostic for
   /// the cache tests and the serve artifact layer.
@@ -149,6 +158,8 @@ class ScbSum : public LinearOperator {
   void invalidate_kernels();
   // Returns the cache, recreating it when a move left kcache_ null.
   ScbKernelCache& ensure_cache() const;
+  // The compiled kernels, rebuilt under the cache mutex when dirty.
+  const std::vector<TermKernel>& kernels() const;
 
   std::size_t num_qubits_ = 0;
   std::map<std::vector<Scb>, cplx> terms_;

@@ -1,6 +1,7 @@
 #include "ops/term.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -253,6 +254,70 @@ void TermKernel::apply_add(std::span<const cplx> x, std::span<cplx> y,
       sub = (sub - free_mask) & free_mask;
     }
   });
+}
+
+cplx TermKernel::expectation(std::span<const cplx> x) const {
+  assert(std::has_single_bit(x.size()));
+  // The walk of apply_add, read-only: every selected s contributes
+  // conj(x[s ^ flip]) * sgn(s) * x[s], and base multiplies the total.
+  const std::uint64_t free_mask = (x.size() - 1) & ~select_mask;
+  if ((select_val & ~(x.size() - 1)) != 0) return 0.0;  // out of range
+  if (telemetry::metrics_enabled()) {
+    // Two 16 B reads per selected state (one when x[s ^ flip] is x[s]).
+    const std::uint64_t touched = std::uint64_t{1}
+                                  << std::popcount(free_mask);
+    telemetry::count(telemetry::Counter::kernel_sweeps);
+    telemetry::count(telemetry::Counter::amplitudes_touched, touched);
+    telemetry::count(telemetry::Counter::bytes_moved,
+                     touched * (flip == 0 ? 16 : 32));
+  }
+
+  // Per-chunk partials combined in chunk order (as vec_dot does): the
+  // result is deterministic for a fixed thread count and allocation-free.
+  std::array<cplx, kMaxParallelChunks> partial{};
+  const std::uint64_t run_mask =
+      trailing_run_mask(free_mask & ~sign_mask & ~flip);
+  const int run_bits = std::popcount(run_mask);
+  if (run_bits >= kMinRunBits) {
+    // Contiguous-run split of apply_add: each run is one wide dot of the
+    // target stream x[s ^ flip ..] against x[s ..].
+    const std::size_t run = std::size_t{1} << run_bits;
+    const std::uint64_t outer_mask = free_mask & ~run_mask;
+    const std::size_t count = std::size_t{1} << std::popcount(outer_mask);
+    const simd::Kernels& kn = simd::active();
+    parallel_for(
+        count,
+        [&](std::size_t i0, std::size_t i1, int chunk) {
+          cplx acc = 0;
+          std::uint64_t sub = scatter_bits(i0, outer_mask);
+          for (std::size_t i = i0; i < i1; ++i) {
+            const std::uint64_t s = sub | select_val;
+            double lanes[8];
+            kn.dot_lanes(x.data() + (s ^ flip), x.data() + s, run, lanes);
+            const cplx d = simd::combine_dot(lanes);
+            acc += (std::popcount(sign_mask & s) & 1) ? -d : d;
+            sub = (sub - outer_mask) & outer_mask;
+          }
+          partial[static_cast<std::size_t>(chunk)] = acc;
+        },
+        std::max<std::size_t>(1, kParallelGrain >> run_bits));
+  } else {
+    const std::size_t count = std::size_t{1} << std::popcount(free_mask);
+    parallel_for(count, [&](std::size_t i0, std::size_t i1, int chunk) {
+      cplx acc = 0;
+      std::uint64_t sub = scatter_bits(i0, free_mask);
+      for (std::size_t i = i0; i < i1; ++i) {
+        const std::uint64_t s = sub | select_val;
+        const cplx d = std::conj(x[s ^ flip]) * x[s];
+        acc += (std::popcount(sign_mask & s) & 1) ? -d : d;
+        sub = (sub - free_mask) & free_mask;
+      }
+      partial[static_cast<std::size_t>(chunk)] = acc;
+    });
+  }
+  cplx sum = 0;
+  for (const cplx& p : partial) sum += p;
+  return base * sum;
 }
 
 void ScbTerm::apply_add(std::span<const cplx> x, std::span<cplx> y) const {

@@ -126,6 +126,11 @@ struct TermKernel : public LinearOperator {
   /// distinct buffers (asserted).
   void apply_add(std::span<const cplx> x, std::span<cplx> y,
                  cplx scale) const override;
+  /// <x| A |x> for the bare product, read-only: the sum over selected s of
+  /// conj(x[s ^ flip]) * amp(s) * x[s], walked with apply_add's run split
+  /// and chunking, per-chunk partials combined in chunk order. Writes
+  /// nothing and allocates nothing; x.size() must be a power of two.
+  cplx expectation(std::span<const cplx> x) const;
 };
 
 /// Hermitian matrix of a sum of terms (for verification).

@@ -1,5 +1,6 @@
 #include "state/state_vector.hpp"
 #include "linalg/blas1.hpp"
+#include "ops/scb_sum.hpp"
 #include "util/error.hpp"
 
 #include <random>
@@ -89,6 +90,10 @@ cplx StateVector::expectation(const LinearOperator& op) const {
   AlignedVec& s = scratch();
   op.apply(data_, s);
   return vec_dot(data_, s);
+}
+
+cplx StateVector::expectation(const ScbSum& h) const {
+  return h.expectation(data_);
 }
 
 }  // namespace gecos

@@ -5,9 +5,12 @@
 // (cache-line- and AVX-512-friendly for the parallel kernels), knows its
 // qubit count, and carries the common state operations: basis/product/random
 // construction, normalization, inner products, applying any LinearOperator,
-// and expectation values. A scratch buffer of the same alignment is kept
-// inside the state and reused across apply()/expectation() calls, so
-// repeated measurement in an evolution loop does no per-call allocation.
+// and expectation values. An ScbSum expectation walks the sum's compiled
+// term kernels read-only, with no buffer at all; apply() and the
+// expectation of any other LinearOperator go through a scratch buffer of
+// the same alignment, kept inside the state and reused across calls. Either
+// way repeated measurement in an evolution loop does no per-call
+// allocation.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +23,10 @@
 #include "ops/linear_op.hpp"
 
 namespace gecos {
+
+/// Sum-of-SCB-terms operator (ops/scb_sum.hpp); the scratch-free
+/// expectation overload takes it.
+class ScbSum;
 
 /// Minimal 64-byte-aligned allocator so statevector storage starts on a
 /// cache-line boundary (std::allocator only guarantees alignof(cplx) = 16).
@@ -92,12 +99,19 @@ class StateVector {
   /// In-place x = A x through the internal scratch buffer (allocated once,
   /// reused across calls).
   void apply(const LinearOperator& op);
-  /// <x| A |x> through the internal scratch buffer; real part is the
-  /// physical expectation value when A is Hermitian. NOTE: const but not
-  /// concurrency-safe on one object — apply()/expectation() share the
-  /// per-object scratch, so parallel measurement threads must each own a
-  /// StateVector (copies are cheap relative to any 2^n workload).
+  /// <x| A |x> of a generic operator: apply into the internal scratch
+  /// buffer, then dot. Real part is the physical expectation value when A
+  /// is Hermitian. NOTE: const but not concurrency-safe on one object —
+  /// apply() and this overload share the per-object scratch, so parallel
+  /// measurement threads must each own a StateVector (copies are cheap
+  /// relative to any 2^n workload).
   cplx expectation(const LinearOperator& op) const;
+  /// <x| H |x> of an ScbSum without the scratch: ScbSum::expectation walks
+  /// each compiled term read-only (one pass over the selected amplitudes
+  /// instead of a zero-fill, an apply and a dot over a second 2^n buffer).
+  /// Never sizes the scratch, so concurrent calls on one const state are
+  /// safe. Throws Error{numerical_nan} on a non-finite read amplitude.
+  cplx expectation(const ScbSum& h) const;
 
  private:
   AlignedVec& scratch() const;

@@ -125,8 +125,9 @@ int main() {
     p.periodic_x = true;
     const ScbSum h = hubbard_scb(p);  // fresh: kernel cache not built yet
     const StateVector x = StateVector::random(10, 17);
-    // Per-thread StateVector copies: the internal expectation scratch is
-    // per-object and not safe to share across threads (see state_vector.hpp).
+    // Per-thread StateVector copies: an ScbSum expectation reads the state
+    // without its scratch, but the generic-operator overload shares the
+    // per-object scratch and is not safe across threads (state_vector.hpp).
     const StateVector xa = x, xb = x;
     cplx ea, eb;
     std::thread ta([&] { ea = xa.expectation(h); });

@@ -4,9 +4,11 @@
 // scalar tier — stronger than the 1-ulp acceptance bound — across odd
 // lengths, unaligned starting offsets and sentinel-guarded tails (so an
 // overrunning tail loop fails loudly). On top of the raw kernels, whole
-// operator applies and Trotter steps are pinned bitwise across tiers, and
-// an allocation probe pins the fused Trotter phase tables as warmup-only
-// (steady-state steps, including a dt change, allocate nothing).
+// operator applies and Trotter steps are pinned bitwise across tiers (and,
+// at a size where the rotation-batch cell cap acts, across thread counts),
+// and an allocation probe pins the fused Trotter phase tables as
+// warmup-only (steady-state steps, including a dt change, allocate
+// nothing).
 #include "alloc_probe.hpp"
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include "simd/kernels.hpp"
 #include "simd/simd.hpp"
 #include "state/state_vector.hpp"
+#include "util/parallel.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -202,6 +205,51 @@ int main() {
                       std::vector<cplx>(tr.amps().begin(),
                                         tr.amps().end())));
     }
+    set_simd_tier(initial);
+  }
+
+  // -- Trotter steps where the batch cell cap acts ---------------------------
+  // At n = 20 the widest rotation batches have longer contiguous runs than
+  // the cell cap admits, and the cap depends on the worker count (at least
+  // four cells per worker): one thread traverses 2^17-amplitude cells, four
+  // threads 2^16. Every amplitude still sees the same rotations in the same
+  // order, so three Strang steps must agree bit-for-bit across every tier
+  // and both thread counts.
+  {
+    HubbardParams p;
+    p.lx = 5;
+    p.ly = 2;
+    p.u = 4.0;
+    p.mu = 0.5;
+    p.periodic_x = true;
+    p.spinful = true;  // n = 20
+    const ScbSum h = hubbard_scb(p);
+    const std::size_t n = h.num_qubits();
+    const std::vector<cplx> x0 = random_vec(std::size_t{1} << n, rng);
+    const TrotterEvolver ev(h);
+    const int threads0 = num_threads();
+    const auto evolve3 = [&](SimdTier t, int threads) {
+      set_simd_tier(t);
+      set_num_threads(threads);
+      StateVector x(n);
+      std::copy(x0.begin(), x0.end(), x.amps().begin());
+      for (int s = 0; s < 3; ++s) ev.step(x, 0.02, 2);
+      return std::vector<cplx>(x.amps().begin(), x.amps().end());
+    };
+    const std::vector<cplx> ref = evolve3(SimdTier::scalar, 1);
+    for (SimdTier t :
+         {SimdTier::scalar, SimdTier::avx2, SimdTier::avx512}) {
+      if (!simd_tier_available(t)) continue;
+      for (int threads : {1, 4}) {
+        if (t == SimdTier::scalar && threads == 1) continue;
+        const bool same = same_bits(ref, evolve3(t, threads));
+        std::printf("n=20 Strang x3, tier %s, %d thread(s): %s\n",
+                    simd_tier_name(t), threads,
+                    same ? "bitwise equal" : "DIFFERS");
+        CHECK(same);
+      }
+    }
+    set_num_threads(threads0);
     set_simd_tier(initial);
   }
 

@@ -1,10 +1,14 @@
 // StateVector layer and the unified LinearOperator interface: construction,
 // norms and inner products, expectation values against dense quadratic
-// forms, in-place apply through the scratch path, and interface conformance
-// of every concrete operator (PauliSum, ScbSum, TermKernel, CsrMatrix,
-// SumOperator).
+// forms (including the scratch-free ScbSum path: term families, NaN guard,
+// zero allocations), in-place apply through the scratch path, and interface
+// conformance of every concrete operator (PauliSum, ScbSum, TermKernel,
+// CsrMatrix, SumOperator).
+#include "alloc_probe.hpp"
+
 #include <memory>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "linalg/blas1.hpp"
@@ -15,6 +19,8 @@
 #include "ops/term.hpp"
 #include "state/state_vector.hpp"
 #include "test_util.hpp"
+#include "util/error.hpp"
+#include "util/parallel.hpp"
 
 using namespace gecos;
 
@@ -35,6 +41,20 @@ ScbSum random_hermitian_sum(std::size_t n, int terms, std::mt19937& rng) {
 /// <x|M|x> via the dense matrix (ground truth).
 cplx dense_expectation(const Matrix& m, std::span<const cplx> x) {
   return vec_dot(x, m.apply(x));
+}
+
+/// Sum of the given (coeff, word, h.c.) terms, words in paper order.
+ScbSum sum_of(std::size_t n,
+              const std::vector<std::tuple<cplx, const char*, bool>>& ts) {
+  ScbSum s(n);
+  for (const auto& [c, word, hc] : ts) s.add(ScbTerm::parse(word, c, hc));
+  return s;
+}
+
+/// |a - b| / max(|b|, 1): the relative agreement bound of the expectation
+/// checks (absolute near zero).
+double rel_diff(cplx a, cplx b) {
+  return std::abs(a - b) / std::max(std::abs(b), 1.0);
 }
 
 }  // namespace
@@ -97,6 +117,122 @@ int main() {
     CHECK_NEAR(es - ed, 0.0, 1e-12);
     CHECK_NEAR(ep - ed, 0.0, 1e-12);
     CHECK_NEAR(es.imag(), 0.0, 1e-12);  // Hermitian => real expectation
+  }
+
+  // Scratch-free ScbSum expectation: one family of terms at a time, against
+  // the dense quadratic form and against the generic apply + dot path (the
+  // LinearOperator overload). n = 6 keeps three low qubits free in some
+  // words, so both the wide run walk and the scalar walk are exercised.
+  {
+    const std::size_t n = 6;
+    const std::vector<std::pair<const char*, ScbSum>> families = {
+        {"diagonal",
+         sum_of(n, {{cplx(0.7), "I I I n Z m", false},
+                    {cplx(-1.3), "Z n I I I I", false},
+                    {cplx(0.4), "m m n n Z Z", false},
+                    {cplx(2.1), "I I I I I I", false}})},
+        {"hopping + h.c.",
+         sum_of(n, {{cplx(-1.0), "I I I s+ Z s", true},
+                    {cplx(0.5, 0.2), "s+ Z Z s I I", true},
+                    {cplx(-0.8), "I s+ s I I I", true}})},
+        {"Y terms",
+         sum_of(n, {{cplx(0.3, -0.9), "I I I Y X Z", true},
+                    {cplx(1.1), "Y Y I I I I", false},
+                    {cplx(-0.6, 0.4), "X n Y I I Y", false}})},
+        {"transitions",
+         sum_of(n, {{cplx(0.9, 0.1), "s I I n s+ I", false},
+                    {cplx(-0.2, 0.7), "I I I s+ s+ m", false},
+                    {cplx(1.4), "s s+ X I I I", true}})},
+    };
+    for (const auto& [name, h] : families) {
+      const StateVector x = StateVector::random(n, 4242);
+      const cplx e = x.expectation(h);
+      const cplx ed = dense_expectation(h.to_matrix(), x.amps());
+      const cplx eg = x.expectation(static_cast<const LinearOperator&>(h));
+      if (rel_diff(e, ed) > 1e-12 || rel_diff(e, eg) > 1e-12)
+        std::printf("family %s: scb %.17g%+.17gi dense %.17g%+.17gi\n", name,
+                    e.real(), e.imag(), ed.real(), ed.imag());
+      CHECK(rel_diff(e, ed) <= 1e-12);
+      CHECK(rel_diff(e, eg) <= 1e-12);
+    }
+
+    // Selection outside the dimension: a 7-qubit word whose n factor sits
+    // on qubit 6 selects nothing in a 2^6 vector — the read-only walk
+    // returns 0, exactly as apply_add leaves y untouched.
+    const TermKernel k(ScbTerm::parse("X I I I I I n", cplx(0.5), false));
+    const StateVector x = StateVector::random(n, 77);
+    std::vector<cplx> y(x.dim(), cplx(0.0));
+    k.apply_add(x.amps(), y);
+    CHECK_EQ(vec_dot(x.amps(), y), cplx(0.0));
+    CHECK_EQ(k.expectation(x.amps()), cplx(0.0));
+
+    // A size mismatch is API misuse, as on the generic path.
+    bool threw = false;
+    try {
+      (void)families[0].second.expectation(StateVector::random(5, 1).amps());
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    CHECK(threw);
+  }
+
+  // Parallel chunks: at n = 14 the term walks split over four workers, and
+  // the per-chunk partials still agree with apply + dot.
+  {
+    const int threads0 = num_threads();
+    set_num_threads(4);
+    const std::size_t n = 14;
+    const ScbSum h = random_hermitian_sum(n, 12, rng);
+    const StateVector x = StateVector::random(n, 5150);
+    const cplx e = x.expectation(h);
+    const cplx eg = x.expectation(static_cast<const LinearOperator&>(h));
+    CHECK(rel_diff(e, eg) <= 1e-12);
+    CHECK_EQ(e, x.expectation(h));  // deterministic for a fixed count
+    set_num_threads(threads0);
+  }
+
+  // The NaN guard of vec_dot carries over: a non-finite amplitude the sum
+  // reads surfaces as Error{numerical_nan}.
+  {
+    const ScbSum h = sum_of(4, {{cplx(1.0), "s+ s I I", true},
+                                {cplx(0.5), "n I I I", false}});
+    StateVector x = StateVector::random(4, 8);
+    x[1] = cplx(std::nan(""), 0.0);
+    bool nan_kind = false;
+    try {
+      (void)x.expectation(h);
+    } catch (const Error& e) {
+      nan_kind = e.kind() == ErrorKind::numerical_nan;
+    }
+    CHECK(nan_kind);
+  }
+
+  // Zero allocations: once the sum's kernels are compiled, the expectation
+  // of a state that never used the generic path allocates nothing — so its
+  // scratch buffer is never sized — serially and across four workers.
+  {
+    const int threads0 = num_threads();
+    const std::size_t n = 14;
+    const ScbSum h = random_hermitian_sum(n, 6, rng);
+    const StateVector warm = StateVector::random(n, 9);
+    (void)warm.expectation(h);  // compiles the kernel cache
+    const StateVector x = StateVector::random(n, 10);
+    for (int threads : {1, 4}) {
+      set_num_threads(threads);
+      (void)warm.expectation(h);  // starts the pool at this size
+      const long before = gecos::test::allocations();
+      const cplx e = x.expectation(h);
+      const long delta = gecos::test::allocations() - before;
+      CHECK(std::isfinite(e.real()));
+#if GECOS_ALLOC_PROBE_ACTIVE
+      std::printf("alloc probe: %ld allocations in an n=14 ScbSum "
+                  "expectation at %d thread(s)\n", delta, threads);
+      CHECK_EQ(delta, 0);
+#else
+      (void)delta;
+#endif
+    }
+    set_num_threads(threads0);
   }
 
   // In-place apply through the internal scratch (x <- A x), and the

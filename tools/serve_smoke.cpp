@@ -10,7 +10,12 @@
 //   2. fork+exec gecosd, submit the same spec over the socket
 //   3. poll for the solver checkpoint file, then SIGKILL the daemon
 //   4. restart gecosd on the same state dir, poll the SAME job id to done
-//   5. assert the resumed eigenvalues/matvecs/iterations are bitwise equal
+//   5. while that client still holds the one-connection server, a raw
+//      client sends a request frame and closes before the reply; the
+//      daemon's reply then hits a closed socket, which must drop that
+//      connection rather than kill the daemon with SIGPIPE — a second
+//      client's stats must still be answered
+//   6. assert the resumed eigenvalues/matvecs/iterations are bitwise equal
 //      to the reference, then shut the daemon down cleanly
 //
 // Like tools/resume_driver.cpp, a child that wins the race (solve finishes
@@ -24,7 +29,9 @@
 //                       relative paths dodge the AF_UNIX length cap)
 //        --threads K    worker threads, fixed across all runs (default 2)
 // Exit 0 on PASS, 1 on FAIL, 2 on usage/setup errors.
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -113,6 +120,26 @@ std::unique_ptr<Client> connect_daemon(const std::string& socket,
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
+}
+
+// Connects a raw socket to the daemon, sends one 8-byte frame (length 4,
+// unknown MsgType 0xFFFF) and closes without reading the reply. False when
+// the connect or the send fails.
+bool send_frame_and_close(const std::string& socket) {
+  sockaddr_un addr{};
+  if (socket.size() >= sizeof(addr.sun_path)) return false;
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket.c_str(), socket.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  const std::uint32_t frame[2] = {4, 0xFFFF};
+  const bool ok =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0 &&
+      ::send(fd, frame, sizeof(frame), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(sizeof(frame));
+  ::close(fd);
+  return ok;
 }
 
 bool bitwise_equal(const std::vector<double>& a,
@@ -231,14 +258,39 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(resumed.matvecs),
                    resumed.resumed ? 1 : 0,
                    static_cast<unsigned long long>(stats.completed));
+      // 5. This client holds the server, so the raw client's frame and its
+      // close are both queued before the daemon reads them; the daemon
+      // replies to an already-closed peer once this client disconnects.
+      if (!send_frame_and_close(socket)) {
+        ::kill(pid2, SIGKILL);
+        ::waitpid(pid2, &status, 0);
+        return fail("raw client could not connect and send a frame");
+      }
+    }
+    try {
+      const auto client = connect_daemon(socket, 5.0);
+      const ServerStats stats = client->stats();
+      std::fprintf(stderr,
+                   "serve_smoke: daemon survived a client that closed "
+                   "before the reply (completed=%llu)\n",
+                   static_cast<unsigned long long>(stats.completed));
       client->shutdown();
       clean_shutdown = true;
+    } catch (const Error& e) {
+      if (::waitpid(pid2, &status, WNOHANG) == pid2 && WIFSIGNALED(status)) {
+        std::fprintf(stderr, "serve_smoke: daemon died of signal %d\n",
+                     WTERMSIG(status));
+        return fail("daemon died after a client closed before the reply");
+      }
+      ::kill(pid2, SIGKILL);
+      ::waitpid(pid2, &status, 0);
+      return fail(e.what());
     }
     ::waitpid(pid2, &status, 0);
     if (!clean_shutdown || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
       return fail("daemon did not exit cleanly after shutdown");
 
-    // 5. The acceptance assertions: bit-identical solve across the kill.
+    // 6. The acceptance assertions: bit-identical solve across the kill.
     if (!bitwise_equal(resumed.eigenvalues, ref.eigenvalues))
       return fail("eigenvalues differ from the uninterrupted reference");
     if (!bitwise_equal(resumed.residuals, ref.residuals))
