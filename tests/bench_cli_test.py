@@ -8,7 +8,9 @@ workspaces depend on:
   * an unwritable --out path fails FAST (the writability probe runs before
     any timed entry, so a typo'd path cannot waste a full bench run),
   * a valid --only + --out run exits 0 and writes a parseable JSON report
-    with the gecos-bench-v4 schema,
+    with the gecos-bench-v5 schema,
+  * every entry carries a "gates" list of {name, value, bound, pass} and no
+    bound-only gate_* field; a gated entry reports its gate passing,
   * an --only filter matching nothing is an error, not a silent no-op.
 
 Usage: bench_cli_test.py /path/to/bench_main
@@ -86,7 +88,7 @@ def main():
     entries = [line for line in r.stdout.split() if line]
     check("--list prints entries", len(entries) >= 5, r.stdout[:200])
 
-    # Valid --only + --out: exit 0 and a parseable v4 report at the path.
+    # Valid --only + --out: exit 0 and a parseable v5 report at the path.
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         r = run([bench, "--quick", "--repeat", "1", "--only", "fermion",
@@ -98,13 +100,46 @@ def main():
             with open(out) as f:
                 report = json.load(f)
             check(
-                "report schema is gecos-bench-v4",
-                report.get("schema") == "gecos-bench-v4",
+                "report schema is gecos-bench-v5",
+                report.get("schema") == "gecos-bench-v5",
                 str(report.get("schema")),
             )
-            names = [b.get("name", "") for b in report.get("benchmarks", [])]
+            entries = report.get("benchmarks", [])
+            names = [b.get("name", "") for b in entries]
             check("filtered entries all match", names != [] and all(
                 "fermion" in n for n in names), str(names))
+            check("every entry has a gates list",
+                  all(isinstance(b.get("gates"), list) for b in entries),
+                  str(names))
+
+    # Gated entries: each gate is in the report's gates list, passing and
+    # within its bound, and no bound is left behind as a gate_* field
+    # (spectral_thermal carried gate_max_sigma_dev before the gates list).
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        r = run([bench, "--quick", "--repeat", "1", "--only",
+                 "fermion_apply_xcheck", "--only", "spectral_thermal",
+                 "--out", out])
+        check("gated entries run exits 0", r.returncode == 0,
+              f"rc={r.returncode} stderr={r.stderr[:300]}")
+        entries = []
+        if os.path.exists(out):
+            with open(out) as f:
+                entries = json.load(f).get("benchmarks", [])
+        gate_fields = [f"{b.get('name')}.{k}" for b in entries
+                       for k in b if k.startswith("gate_")]
+        check("no entry carries a gate_* field",
+              len(entries) == 2 and gate_fields == [], str(gate_fields))
+        gates = entries[0].get("gates", []) if entries else []
+        gate = next((g for g in gates
+                     if g.get("name") == "scb_vs_pauli_max_diff"), None)
+        check("xcheck reports its scb_vs_pauli_max_diff gate",
+              gate is not None, str(entries)[:300])
+        if gate is not None:
+            check("xcheck gate passes", gate.get("pass") is True, str(gate))
+            check("xcheck gate value <= bound",
+                  gate.get("value", 1.0) <= gate.get("bound", 0.0),
+                  str(gate))
 
     print(f"bench_cli_test: {'FAIL' if failures else 'PASS'}")
     return 1 if failures else 0
