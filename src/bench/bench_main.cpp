@@ -39,6 +39,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <span>
 #include <sstream>
@@ -179,9 +180,12 @@ struct Result {
   Fields telemetry;
 };
 
-std::string json_escape_free_format(double v) {
+/// A report number with max_digits10 significant digits, so it parses back
+/// to the same double and the 1e-10 agreements the gates check stay visible
+/// in the report.
+std::string json_number(double v) {
   std::ostringstream os;
-  os.precision(9);
+  os.precision(std::numeric_limits<double>::max_digits10);
   os << v;
   return os.str();
 }
@@ -207,13 +211,13 @@ bool write_json(const std::string& path, bool quick,
     const Result& r = results[i];
     out << "    {\"name\": \"" << r.name << "\"";
     for (const auto& [k, v] : r.entry.fields)
-      out << ", \"" << k << "\": " << json_escape_free_format(v);
+      out << ", \"" << k << "\": " << json_number(v);
     out << ", \"gates\": [";
     for (std::size_t j = 0; j < r.entry.gates.size(); ++j) {
       const Gate& g = r.entry.gates[j];
       out << (j ? ", " : "") << "{\"name\": \"" << g.name
-          << "\", \"value\": " << json_escape_free_format(g.value)
-          << ", \"bound\": " << json_escape_free_format(g.bound)
+          << "\", \"value\": " << json_number(g.value)
+          << ", \"bound\": " << json_number(g.bound)
           << ", \"pass\": " << (g.pass ? "true" : "false") << "}";
     }
     out << "]";
@@ -222,7 +226,7 @@ bool write_json(const std::string& path, bool quick,
       for (std::size_t j = 0; j < r.telemetry.size(); ++j) {
         const auto& [k, v] = r.telemetry[j];
         out << (j ? ", " : "") << "\"" << k
-            << "\": " << json_escape_free_format(v);
+            << "\": " << json_number(v);
       }
       out << "}";
     }

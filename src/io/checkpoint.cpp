@@ -140,7 +140,7 @@ double PayloadReader::get_f64() {
   return v;
 }
 
-void PayloadReader::get_cplx(std::span<cplx> out) {
+void PayloadReader::get_cplx(std::span<std::complex<double>> out) {
   std::memcpy(out.data(), raw(out.size_bytes()), out.size_bytes());
 }
 
@@ -224,7 +224,7 @@ void write_checkpoint(const std::string& path, PayloadKind kind,
   }
 }
 
-Checkpoint read_checkpoint(const std::string& path) {
+Checkpoint read_checkpoint(const std::string& path, PayloadKind expect) {
   GECOS_SPAN("checkpoint.read");
   std::vector<unsigned char> bytes;
   if (!slurp(path, bytes))
@@ -232,11 +232,6 @@ Checkpoint read_checkpoint(const std::string& path) {
                                            errno_text());
   Checkpoint ck = parse(path, std::move(bytes));
   telemetry::count(telemetry::Counter::checkpoint_restores);
-  return ck;
-}
-
-Checkpoint read_checkpoint(const std::string& path, PayloadKind expect) {
-  Checkpoint ck = read_checkpoint(path);
   if (ck.kind != expect)
     throw Error(ErrorKind::io_corrupt,
                 path + ": wrong payload kind " +
@@ -270,98 +265,6 @@ void remove_checkpoint(const std::string& path) noexcept {
   std::remove(path.c_str());
   std::remove((path + ".bak").c_str());
   std::remove((path + ".tmp").c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Type serializers
-
-void encode_sector_basis(PayloadWriter& w, const SectorBasis& basis) {
-  const std::vector<SpeciesSector> sp = basis.species();
-  w.put_u64(basis.n_qubits());
-  w.put_u64(sp.size());
-  for (const SpeciesSector& s : sp) {
-    w.put_u64(s.mask);
-    w.put_u64(s.count);
-  }
-}
-
-SectorBasis decode_sector_basis(PayloadReader& r) {
-  const std::uint64_t n = r.get_u64();
-  const std::uint64_t n_species = r.get_u64();
-  if (n_species > 64)  // more species than qubits cannot be a valid sector
-    throw Error(ErrorKind::io_corrupt,
-                "sector descriptor claims " + std::to_string(n_species) +
-                    " species");
-  std::vector<SpeciesSector> sp(static_cast<std::size_t>(n_species));
-  for (SpeciesSector& s : sp) {
-    s.mask = r.get_u64();
-    s.count = static_cast<std::size_t>(r.get_u64());
-  }
-  return SectorBasis(static_cast<std::size_t>(n), std::move(sp));
-}
-
-void save_state_vector(const std::string& path, const StateVector& psi) {
-  PayloadWriter w;
-  w.put_u64(psi.n_qubits());
-  w.put_u64(psi.dim());
-  w.put_cplx(psi.amps());
-  write_checkpoint(path, PayloadKind::kStateVector, w.bytes());
-}
-
-StateVector load_state_vector(const std::string& path) {
-  const Checkpoint ck =
-      read_checkpoint_with_fallback(path, PayloadKind::kStateVector);
-  PayloadReader r(ck.payload);
-  const std::uint64_t n = r.get_u64();
-  const std::uint64_t dim = r.get_u64();
-  if (n < 1 || n > 63 || dim != (std::uint64_t{1} << n))
-    throw Error(ErrorKind::io_corrupt,
-                path + ": state descriptor n=" + std::to_string(n) +
-                    " dim=" + std::to_string(dim) + " is inconsistent");
-  StateVector psi(static_cast<std::size_t>(n));
-  r.get_cplx(psi.amps());
-  r.require_end();
-  return psi;
-}
-
-void save_sector_vector(const std::string& path, const SectorVector& psi) {
-  PayloadWriter w;
-  encode_sector_basis(w, psi.basis());
-  w.put_u64(psi.dim());
-  w.put_cplx(psi.amps());
-  write_checkpoint(path, PayloadKind::kSectorVector, w.bytes());
-}
-
-SectorVector load_sector_vector(const std::string& path) {
-  const Checkpoint ck =
-      read_checkpoint_with_fallback(path, PayloadKind::kSectorVector);
-  PayloadReader r(ck.payload);
-  SectorBasis basis = decode_sector_basis(r);
-  const std::uint64_t dim = r.get_u64();
-  if (dim != basis.dim())
-    throw Error(ErrorKind::io_corrupt,
-                path + ": amplitude count " + std::to_string(dim) +
-                    " disagrees with sector dimension " +
-                    std::to_string(basis.dim()));
-  SectorVector psi{std::move(basis)};
-  r.get_cplx(psi.amps());
-  r.require_end();
-  return psi;
-}
-
-void save_sector_basis(const std::string& path, const SectorBasis& basis) {
-  PayloadWriter w;
-  encode_sector_basis(w, basis);
-  write_checkpoint(path, PayloadKind::kSectorBasis, w.bytes());
-}
-
-SectorBasis load_sector_basis(const std::string& path) {
-  const Checkpoint ck =
-      read_checkpoint_with_fallback(path, PayloadKind::kSectorBasis);
-  PayloadReader r(ck.payload);
-  SectorBasis basis = decode_sector_basis(r);
-  r.require_end();
-  return basis;
 }
 
 }  // namespace gecos

@@ -1,15 +1,15 @@
 // Versioned, checksummed, crash-safe binary checkpoint format.
 //
 // Long solves (the recorded n=32 sector ground state is ~100 s single-core;
-// ROADMAP item 2 targets n=36-40) die with nothing to show when the process
-// is killed at matvec 150. This layer gives every owning state type and
-// every solver a durable on-disk form. The wire layout is a fixed 24-byte
-// header (8-byte magic "GECOSCK1", u32 format version, u32 payload kind,
-// u64 payload size), the raw payload bytes, and a trailing XXH64 digest of
-// everything before it — see DESIGN.md "Checkpoint format & failure model"
-// for the byte-exact table. Multi-byte fields are native-endian: a file
-// moved across endianness fails the version check, which is the honest
-// answer (the amplitude payload would be byte-swapped anyway).
+// ROADMAP item 2 targets n=36-40) die with nothing to show when the process is
+// killed at matvec 150. This layer gives the Lanczos solver state and the
+// gecosd job journal a durable on-disk form. The wire layout is a fixed
+// 24-byte header (8-byte magic "GECOSCK1", u32 format version, u32 payload
+// kind, u64 payload size), the raw payload bytes, and a trailing XXH64 digest
+// of everything before it — see DESIGN.md "Checkpoint format & failure model"
+// for the byte-exact table. Multi-byte fields are native-endian: a file moved
+// across endianness fails the version check, which is the honest answer (the
+// amplitude payload would be byte-swapped anyway).
 //
 // Writes are crash-safe by construction: the full image is written to a
 // writer-unique side file `path + ".tmp.<pid>.<seq>"`, flushed and fsync'd,
@@ -34,14 +34,12 @@
 // exact — including signed zeros and NaN payloads.
 #pragma once
 
+#include <complex>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "state/state_vector.hpp"
-#include "symmetry/sector_basis.hpp"
-#include "symmetry/sector_vector.hpp"
 #include "util/error.hpp"
 
 namespace gecos {
@@ -59,13 +57,12 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 inline constexpr std::size_t kCheckpointHeaderSize = 24;
 
 /// What a checkpoint's payload contains. Stored in the header so a reader
-/// rejects e.g. a Lanczos state handed to load_state_vector().
+/// rejects e.g. a serve journal handed to Lanczos::resume(). Values 1, 2, 3
+/// and 5 belonged to retired payloads (full state, sector state, sector
+/// descriptor, imaginary-time state) and are never reused: a file carrying
+/// one fails every kind check as io_corrupt.
 enum class PayloadKind : std::uint32_t {
-  kStateVector = 1,   ///< full 2^n state: n, dim, amplitudes
-  kSectorVector = 2,  ///< sector descriptor + rank-indexed amplitudes
-  kSectorBasis = 3,   ///< sector descriptor only (masks + counts)
   kLanczosState = 4,  ///< mid-flight thick-restart Lanczos solver state
-  kImagTimeState = 5, ///< mid-flight imaginary-time projection state
   kServeJob = 6,      ///< gecosd job journal: spec + state + result payload
 };
 
@@ -80,7 +77,9 @@ class PayloadWriter {
   /// Appends an IEEE double, bit-exact.
   void put_f64(double v) { raw(&v, sizeof(v)); }
   /// Appends a complex amplitude span as raw interleaved (re, im) doubles.
-  void put_cplx(std::span<const cplx> v) { raw(v.data(), v.size_bytes()); }
+  void put_cplx(std::span<const std::complex<double>> v) {
+    raw(v.data(), v.size_bytes());
+  }
   /// Appends a length-prefixed (u64) byte string.
   void put_string(const std::string& s);
   /// View of the accumulated payload bytes.
@@ -108,7 +107,7 @@ class PayloadReader {
   /// Reads an IEEE double, bit-exact.
   double get_f64();
   /// Reads out.size() complex amplitudes into `out`.
-  void get_cplx(std::span<cplx> out);
+  void get_cplx(std::span<std::complex<double>> out);
   /// Reads a length-prefixed (u64) byte string.
   std::string get_string();
   /// Bytes not yet consumed.
@@ -127,8 +126,8 @@ class PayloadReader {
 /// A validated checkpoint image: its payload kind, the payload bytes, and
 /// whether it was served from the `.bak` rotation instead of the primary.
 struct Checkpoint {
-  PayloadKind kind = PayloadKind::kStateVector;  ///< header payload kind
-  std::vector<unsigned char> payload;            ///< validated payload bytes
+  PayloadKind kind = PayloadKind::kLanczosState;  ///< header payload kind
+  std::vector<unsigned char> payload;             ///< validated payload bytes
   bool from_backup = false;  ///< true when read from path + ".bak"
 };
 
@@ -141,12 +140,9 @@ void write_checkpoint(const std::string& path, PayloadKind kind,
                       std::span<const unsigned char> payload);
 
 /// Reads and fully validates `path` (size floor, magic, checksum, version,
-/// payload-size consistency — in that order). Throws Error{io_corrupt} or
-/// Error{version_mismatch}.
-Checkpoint read_checkpoint(const std::string& path);
-
-/// read_checkpoint() plus a payload-kind requirement; a kind mismatch is
-/// Error{io_corrupt} ("wrong payload kind").
+/// payload-size consistency, payload kind — in that order). Throws
+/// Error{io_corrupt} (a kind other than `expect` is "wrong payload kind")
+/// or Error{version_mismatch}.
 Checkpoint read_checkpoint(const std::string& path, PayloadKind expect);
 
 /// Reads `path`, falling back to `path + ".bak"` when the primary is
@@ -162,32 +158,5 @@ bool checkpoint_exists(const std::string& path);
 /// Removes `path` and its `.tmp` / `.bak` siblings if present (cleanup for
 /// drivers and tests). Never throws.
 void remove_checkpoint(const std::string& path) noexcept;
-
-/// Appends a SectorBasis descriptor (n_qubits, species count, then each
-/// species' mask + count) to a payload under construction.
-void encode_sector_basis(PayloadWriter& w, const SectorBasis& basis);
-
-/// Reads a SectorBasis descriptor written by encode_sector_basis() and
-/// reconstructs the basis (re-running full constructor validation).
-SectorBasis decode_sector_basis(PayloadReader& r);
-
-/// Saves a full 2^n state (payload kind kStateVector).
-void save_state_vector(const std::string& path, const StateVector& psi);
-
-/// Loads a kStateVector checkpoint, `.bak` fallback included; the returned
-/// state is bitwise equal to the one saved.
-StateVector load_state_vector(const std::string& path);
-
-/// Saves a sector state with its basis descriptor (kind kSectorVector).
-void save_sector_vector(const std::string& path, const SectorVector& psi);
-
-/// Loads a kSectorVector checkpoint, `.bak` fallback included.
-SectorVector load_sector_vector(const std::string& path);
-
-/// Saves a sector descriptor alone (kind kSectorBasis).
-void save_sector_basis(const std::string& path, const SectorBasis& basis);
-
-/// Loads a kSectorBasis checkpoint, `.bak` fallback included.
-SectorBasis load_sector_basis(const std::string& path);
 
 }  // namespace gecos

@@ -2,7 +2,7 @@
 //
 // The Trotter engine exploits the term structure of an ScbSum; this evolver
 // needs only the apply_add hot path, so it propagates ANY LinearOperator —
-// PauliSum, ScbSum, SumOperator, CsrMatrix — with spectral accuracy. One
+// PauliSum, ScbSum, SectorOperator — with spectral accuracy. One
 // step projects H onto the Krylov space K_m(H, x) and applies the small
 // exponential exactly: x <- beta0 V_m exp(z T_m) e1 with z = -i dt. The
 // subspace is grown one matvec at a time until the a-posteriori residual
@@ -76,10 +76,10 @@ class KrylovEvolver : public Evolver {
   using Evolver::evolve;
   using Evolver::step;
 
-  /// General form x <- exp(z H) x: z = -i dt is the unitary step, z = -dt
-  /// the imaginary-time projection step (src/solver/imag_time.hpp). The
-  /// error budget opts.tol is relative to the input norm. A zero vector is
-  /// returned unchanged.
+  /// General form x <- exp(z H) x: z = -i dt is the unitary step, real
+  /// z = -dtau the imaginary-time chunk of the thermal sampler
+  /// (src/spectral/thermal.hpp). The error budget opts.tol is relative to
+  /// the input norm. A zero vector is returned unchanged.
   void apply_expm(cplx z, std::span<cplx> x) const;
 
   /// Statistics of the most recent step()/apply_expm() call, including the

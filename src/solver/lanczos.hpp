@@ -43,7 +43,6 @@ namespace gecos {
 enum class LanczosReorth {
   kFull,       ///< every iteration orthogonalizes against the whole basis
   kSelective,  ///< omega-recurrence estimate triggers full passes on demand
-  kNone,       ///< bare three-term recurrence (ghost eigenvalues; testing)
 };
 
 /// Tuning knobs for the Lanczos eigensolver.

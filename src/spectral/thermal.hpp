@@ -8,18 +8,19 @@
 //
 // so a handful of samples estimates the ratio with fluctuations that SHRINK
 // exponentially with system size (the thermal-pure-quantum-state effect).
-// The imaginary-time projection runs through KrylovEvolver::apply_expm in
-// chunks of dbeta, renormalizing after each chunk and accumulating the log
-// of the squared norm — the weight w_r = <r|e^{-beta H}|r> stays in log
-// space, so large beta never overflows and the Boltzmann-dominated regime
-// degrades gracefully into a ground-state projector. The estimator is the
-// self-normalizing ratio sum_r w_r O_r / sum_r w_r with jackknife standard
-// errors (the ratio's bias and variance are both handled by leave-one-out
-// resampling). Sampling is seeded and the generator is re-seeded on every
-// call, so results are bit-reproducible and independent of call order.
-// All work buffers are preallocated at construction; expectation() is
-// allocation-free after the first call warms the evolver. Runs unchanged on
-// SectorOperator inputs. See DESIGN.md "Spectral & thermal workloads".
+// The imaginary-time projection runs through KrylovEvolver::apply_expm with
+// real z (the one caller of that path) in chunks of dbeta, renormalizing after
+// each chunk and accumulating the log of the squared norm — the weight w_r =
+// <r|e^{-beta H}|r> stays in log space, so large beta never overflows and the
+// Boltzmann-dominated regime degrades gracefully into a ground-state
+// projector. The estimator is the self-normalizing ratio sum_r w_r O_r / sum_r
+// w_r with jackknife standard errors (the ratio's bias and variance are both
+// handled by leave-one-out resampling). Sampling is seeded and the generator
+// is re-seeded on every call, so results are bit-reproducible and independent
+// of call order. All work buffers are preallocated at construction;
+// expectation() is allocation-free after the first call warms the evolver.
+// Runs unchanged on SectorOperator inputs. See DESIGN.md "Spectral & thermal
+// workloads".
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // KrylovBasis: preallocated batched storage for Krylov subspace vectors.
 //
-// Every Krylov method in src/solver/ (Lanczos eigensolver, exp(zH) evolver,
-// imaginary-time projector) carries a set of m orthonormal statevectors next
-// to the 2^n state being processed. A KrylovBasis owns all m vectors in ONE
+// Every Krylov method in src/solver/ (Lanczos eigensolver, exp(zH) evolver)
+// carries a set of m orthonormal statevectors next to the 2^n state being
+// processed. A KrylovBasis owns all m vectors in ONE
 // 64-byte-aligned block (same allocator as StateVector, contiguous so
 // basis-wide sweeps stream linearly), hands out per-vector spans, and
 // implements the two batched primitives the solvers share: Gram-Schmidt

@@ -3,7 +3,7 @@
 // Takes a symbolic sum (ScbSum or PauliSum) that commutes with every species
 // number operator of a SectorBasis and applies it *within* the sector: the
 // LinearOperator dim() is the sector dimension, so Lanczos, KrylovEvolver
-// and the imaginary-time projector run on sector vectors unchanged — same
+// and the spectral estimators run on sector vectors unchanged — same
 // interface, exponentially fewer amplitudes.
 //
 // Construction first rewrites the sum into *transition-canonical* form:

@@ -1,9 +1,9 @@
 // Solver progress reporting: the ProgressSink callback contract.
 //
 // Long solves (the n = 32 sector ground state runs ~102 s) were black boxes
-// until they returned. Every iterative driver — Lanczos, imag_time, the
-// Krylov and Trotter evolvers, the spectral estimators — now accepts an
-// optional callback invoked at iteration boundaries with a ProgressEvent:
+// until they returned. Every iterative driver — Lanczos, the Krylov and
+// Trotter evolvers, the spectral estimators — now accepts an optional
+// callback invoked at iteration boundaries with a ProgressEvent:
 // where the solve is (iteration / total), how converged it is (metric vs
 // target), how much work it has done (matvecs, elapsed) and a best-effort
 // ETA. Callbacks run on the solver's calling thread, outside parallel

@@ -11,17 +11,26 @@ workspaces depend on:
     with the gecos-bench-v5 schema,
   * every entry carries a "gates" list of {name, value, bound, pass} and no
     bound-only gate_* field; a gated entry reports its gate passing,
-  * an --only filter matching nothing is an error, not a silent no-op.
+  * an --only filter matching nothing is an error, not a silent no-op,
+  * report numbers carry more than 9 significant digits, so they parse back
+    to the doubles the 1e-10 gates compared.
 
 Usage: bench_cli_test.py /path/to/bench_main
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+
+
+def significant_digits(number):
+    """Significant digits of a JSON number token such as -1.25e-05."""
+    mantissa = number.lower().split("e")[0].lstrip("-").replace(".", "")
+    return len(mantissa.lstrip("0"))
 
 
 def run(args, timeout=600):
@@ -98,7 +107,13 @@ def main():
         check("--out file exists", os.path.exists(out), out)
         if os.path.exists(out):
             with open(out) as f:
-                report = json.load(f)
+                text = f.read()
+            report = json.loads(text)
+            ratio = re.search(r'"pauli_vs_scb_build_ratio": ([-+.0-9eE]+)',
+                              text)
+            check("float fields print more than 9 significant digits",
+                  ratio is not None and significant_digits(ratio.group(1)) > 9,
+                  ratio.group(0) if ratio else text[:300])
             check(
                 "report schema is gecos-bench-v5",
                 report.get("schema") == "gecos-bench-v5",

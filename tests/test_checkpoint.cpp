@@ -1,24 +1,25 @@
 // Checkpoint-format suite: error taxonomy, XXH64 reference vectors,
-// bitwise save/load round trips for StateVector / SectorVector /
-// SectorBasis, the full corruption matrix (truncations at every 64-byte
-// boundary, single bit-flips across header/payload/checksum, wrong magic,
-// version skew) with a 100% detection requirement, the .bak fallback that
-// recovery is built on, and the concurrent-writer guarantee: two threads
+// bitwise write/read round trips of raw payloads, payload-kind confusion
+// (retired kinds included), the full corruption matrix (truncations at every
+// 64-byte boundary, single bit-flips across header/payload/checksum, wrong
+// magic, version skew) with a 100% detection requirement, the .bak fallback
+// that recovery is built on, and the concurrent-writer guarantee: two threads
 // hammering one path each publish complete images — a reader never sees an
 // interleaving of both.
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fault_inject.hpp"
+#include "fermion/hubbard.hpp"
 #include "io/checkpoint.hpp"
 #include "io/xxhash.hpp"
-#include "state/state_vector.hpp"
-#include "symmetry/sector_basis.hpp"
-#include "symmetry/sector_vector.hpp"
+#include "ops/scb_sum.hpp"
+#include "solver/lanczos.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
 
@@ -48,6 +49,15 @@ bool throws_error(const std::function<void()>& fn) {
     return false;
   }
   return false;
+}
+
+/// Deterministic pseudo-random payload bytes: the file layer never looks
+/// inside a payload, so raw bytes exercise it exactly as a solver state does.
+std::vector<unsigned char> raw_payload(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<unsigned char> p(n);
+  for (unsigned char& b : p) b = static_cast<unsigned char>(rng());
+  return p;
 }
 
 }  // namespace
@@ -109,45 +119,51 @@ int main() {
     CHECK(throws_kind(ErrorKind::io_corrupt, [&] { under.require_end(); }));
   }
 
-  // -- property round trips: random state -> save -> load -> bitwise equal --
+  // -- property round trips: raw payload -> write -> read -> bitwise equal ---
   const std::string path = "ckpt_test_state.bin";
+  const PayloadKind kind = PayloadKind::kLanczosState;
   remove_checkpoint(path);
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    const StateVector psi = StateVector::random(6, seed);
-    save_state_vector(path, psi);
-    const StateVector back = load_state_vector(path);
-    CHECK_EQ(back.n_qubits(), psi.n_qubits());
-    CHECK(std::memcmp(back.amps().data(), psi.amps().data(),
-                      psi.dim() * sizeof(cplx)) == 0);
+  for (std::uint32_t seed : {1u, 7u, 42u}) {
+    const std::vector<unsigned char> payload = raw_payload(1040, seed);
+    write_checkpoint(path, kind, payload);
+    const Checkpoint back = read_checkpoint(path, kind);
+    CHECK(back.kind == kind);
+    CHECK(!back.from_backup);
+    CHECK(back.payload == payload);
   }
+  write_checkpoint(path, kind, {});  // an empty payload is a valid image
+  CHECK(read_checkpoint(path, kind).payload.empty());
+
+  // -- payload-kind confusion is detected, not misparsed --------------------
   {
-    const SectorBasis basis = SectorBasis::spinful(8, 2, 2);
-    const SectorVector psi = SectorVector::random(basis, 99);
-    const std::string spath = "ckpt_test_sector.bin";
-    remove_checkpoint(spath);
-    save_sector_vector(spath, psi);
-    const SectorVector back = load_sector_vector(spath);
-    CHECK(back.basis() == psi.basis());
-    CHECK(std::memcmp(back.amps().data(), psi.amps().data(),
-                      psi.dim() * sizeof(cplx)) == 0);
-
-    const std::string bpath = "ckpt_test_basis.bin";
-    remove_checkpoint(bpath);
-    save_sector_basis(bpath, basis);
-    CHECK(load_sector_basis(bpath) == basis);
-
-    // Payload-kind confusion is detected, not misparsed.
+    write_checkpoint(path, PayloadKind::kServeJob, raw_payload(64, 3));
     CHECK(throws_kind(ErrorKind::io_corrupt,
-                      [&] { (void)load_sector_basis(spath); }));
-    remove_checkpoint(spath);
-    remove_checkpoint(bpath);
+                      [&] { (void)read_checkpoint(path, kind); }));
+    CHECK(read_checkpoint(path, PayloadKind::kServeJob).payload ==
+          raw_payload(64, 3));
+
+    // A checksum-valid image of a retired kind (5, the imaginary-time state
+    // an older build wrote) is rejected by the kind check and by the one
+    // production reader of kLanczosState, never decoded as solver state.
+    const std::string rpath = "ckpt_test_retired.bin";
+    remove_checkpoint(rpath);
+    write_checkpoint(rpath, static_cast<PayloadKind>(5), raw_payload(256, 5));
+    CHECK(throws_kind(ErrorKind::io_corrupt,
+                      [&] { (void)read_checkpoint(rpath, kind); }));
+    HubbardParams chain;
+    chain.lx = 4;
+    const ScbSum h = hubbard_scb(chain);
+    Lanczos solver(h, LanczosOptions{});
+    CHECK(throws_kind(ErrorKind::io_corrupt,
+                      [&] { (void)solver.resume(rpath); }));
+    remove_checkpoint(rpath);
   }
 
   // -- corruption matrix: every injected fault must be detected -------------
   {
-    const StateVector psi = StateVector::random(6, 5);
+    const std::vector<unsigned char> payload = raw_payload(1040, 5);
     remove_checkpoint(path);
-    save_state_vector(path, psi);  // fresh file, no .bak to fall back to
+    write_checkpoint(path, kind, payload);  // fresh file, no .bak fallback
     const std::vector<unsigned char> pristine = test::read_file(path);
     std::size_t injected = 0, detected = 0;
 
@@ -155,7 +171,7 @@ int main() {
       test::write_file(path, pristine);
       corrupt();
       ++injected;
-      if (throws_error([&] { (void)read_checkpoint(path); })) ++detected;
+      if (throws_error([&] { (void)read_checkpoint(path, kind); })) ++detected;
     };
 
     // Truncation at every 64-byte boundary, plus one byte short of intact.
@@ -180,13 +196,13 @@ int main() {
     test::rewrite_version(path, 999);
     ++injected;
     if (throws_kind(ErrorKind::version_mismatch,
-                    [&] { (void)read_checkpoint(path); }))
+                    [&] { (void)read_checkpoint(path, kind); }))
       ++detected;
     test::write_file(path, pristine);
     test::rewrite_version(path, 0);
     ++injected;
     if (throws_kind(ErrorKind::version_mismatch,
-                    [&] { (void)read_checkpoint(path); }))
+                    [&] { (void)read_checkpoint(path, kind); }))
       ++detected;
 
     std::printf("corruption matrix: %zu/%zu detected\n", detected, injected);
@@ -195,54 +211,45 @@ int main() {
     // And the pristine bytes still load (the matrix tested the file, not
     // the reader's goodwill).
     test::write_file(path, pristine);
-    const StateVector back = load_state_vector(path);
-    CHECK(std::memcmp(back.amps().data(), psi.amps().data(),
-                      psi.dim() * sizeof(cplx)) == 0);
+    CHECK(read_checkpoint(path, kind).payload == payload);
   }
 
   // -- atomic rotation and .bak recovery ------------------------------------
   {
-    const StateVector first = StateVector::random(6, 11);
-    const StateVector second = StateVector::random(6, 22);
+    const std::vector<unsigned char> first = raw_payload(1040, 11);
+    const std::vector<unsigned char> second = raw_payload(1040, 22);
+    const auto load = [&] {
+      return read_checkpoint_with_fallback(path, kind).payload;
+    };
     remove_checkpoint(path);
-    save_state_vector(path, first);
-    save_state_vector(path, second);  // rotates first -> .bak
+    write_checkpoint(path, kind, first);
+    write_checkpoint(path, kind, second);  // rotates first -> .bak
 
     // Primary intact: primary wins.
-    StateVector got = load_state_vector(path);
-    CHECK(std::memcmp(got.amps().data(), second.amps().data(),
-                      second.dim() * sizeof(cplx)) == 0);
+    CHECK(load() == second);
 
     // Primary corrupted: recovery proceeds from the last good file.
     test::flip_bit(path, 100, 3);
-    Checkpoint ck =
-        read_checkpoint_with_fallback(path, PayloadKind::kStateVector);
+    const Checkpoint ck = read_checkpoint_with_fallback(path, kind);
     CHECK(ck.from_backup);
-    got = load_state_vector(path);
-    CHECK(std::memcmp(got.amps().data(), first.amps().data(),
-                      first.dim() * sizeof(cplx)) == 0);
+    CHECK(ck.payload == first);
 
     // Primary missing entirely: same story.
     test::remove_file(path);
-    got = load_state_vector(path);
-    CHECK(std::memcmp(got.amps().data(), first.amps().data(),
-                      first.dim() * sizeof(cplx)) == 0);
+    CHECK(load() == first);
     CHECK(checkpoint_exists(path));  // .bak counts as existence
 
     // Both damaged: the primary's diagnosis is what surfaces.
-    save_state_vector(path, second);
+    write_checkpoint(path, kind, second);
     test::flip_bit(path, 50, 1);
     test::flip_bit(path + ".bak", 50, 1);
-    CHECK(throws_kind(ErrorKind::io_corrupt,
-                      [&] { (void)load_state_vector(path); }));
+    CHECK(throws_kind(ErrorKind::io_corrupt, [&] { (void)load(); }));
 
     // A stray .tmp (torn write that never renamed) is ignored by readers.
     remove_checkpoint(path);
-    save_state_vector(path, first);
+    write_checkpoint(path, kind, first);
     test::write_file(path + ".tmp", {0xDE, 0xAD});
-    got = load_state_vector(path);
-    CHECK(std::memcmp(got.amps().data(), first.amps().data(),
-                      first.dim() * sizeof(cplx)) == 0);
+    CHECK(load() == first);
     remove_checkpoint(path);
     CHECK(!checkpoint_exists(path));
   }

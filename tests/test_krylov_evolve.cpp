@@ -16,7 +16,6 @@
 #include "fermion/hubbard.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/expm.hpp"
-#include "linalg/sparse.hpp"
 #include "ops/scb_sum.hpp"
 #include "solver/krylov_evolve.hpp"
 #include "test_util.hpp"
@@ -133,13 +132,13 @@ int main() {
     CHECK_NEAR(vec_max_abs_diff(sv.amps(), ref), 0.0, 1e-10);
   }
 
-  // -- CsrMatrix backend: the evolver is operator-representation-agnostic ---
+  // -- PauliSum backend: the evolver is operator-representation-agnostic ---
   {
     HubbardParams p;
     p.lx = 5;
     p.u = 2.0;
     const ScbSum h = hubbard_scb(p);
-    const CsrMatrix hc = CsrMatrix::from_dense(h.to_matrix(), 1e-14);
+    const PauliSum hc = h.to_pauli();
     const std::vector<cplx> x0 = random_state(32, rng);
     std::vector<cplx> xs = x0, xc = x0;
     KrylovEvolver es(h), ec(hc);

@@ -1,23 +1,22 @@
-// Lanczos eigensolver suite: k lowest eigenpairs against dense eigh on
-// Hubbard lattices up to n = 10, Ritz-vector residuals and orthonormality,
+// Lanczos eigensolver suite: k lowest eigenpairs against dense eigh on Hubbard
+// lattices up to n = 10, Ritz-vector residuals and orthonormality,
 // reorthogonalization-policy agreement, operator-interface genericity
-// (ScbSum / PauliSum / CsrMatrix), restart and deflation paths, and the
-// zero-allocation-after-warm-up pin via the operator-new probe.
+// (ScbSum / PauliSum), restart and deflation paths on an exact diagonal
+// operator, and the zero-allocation-after-warm-up pin via the operator-new
+// probe.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <random>
 #include <vector>
 // clang-format on
 
+#include "diag_op.hpp"
 #include "fermion/hubbard.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/expm.hpp"
-#include "linalg/sparse.hpp"
 #include "ops/scb_sum.hpp"
-#include "ops/sum_operator.hpp"
 #include "solver/lanczos.hpp"
 #include "test_util.hpp"
 
@@ -104,8 +103,7 @@ int main() {
     }
   }
 
-  // -- reorthogonalization policies agree (kNone is the documented ghost
-  // factory and is excluded) ------------------------------------------------
+  // -- reorthogonalization policies agree ------------------------------------
   {
     HubbardParams p;
     p.lx = 8;
@@ -133,10 +131,10 @@ int main() {
   // True residuals are checked, not the solver's own estimates ------------
   {
     const std::size_t nn = 1024;
-    std::vector<Triplet> t;
+    std::vector<double> w(nn);
     for (std::size_t i = 0; i < nn; ++i)
-      t.push_back({i, i, cplx(static_cast<double>(i * i) / 100.0)});
-    const CsrMatrix d(nn, nn, t);
+      w[i] = static_cast<double>(i * i) / 100.0;
+    const test::DiagonalOp d(std::move(w));
     LanczosOptions lo;
     lo.k = 4;
     lo.tol = 1e-10;
@@ -155,8 +153,7 @@ int main() {
     }
   }
 
-  // -- interface genericity: the same spectrum through PauliSum, CsrMatrix
-  // and mixed-representation SumOperator backends ---------------------------
+  // -- interface genericity: the same spectrum through the PauliSum backend --
   {
     HubbardParams p;
     p.lx = 4;
@@ -170,15 +167,6 @@ int main() {
 
     const PauliSum hp = h.to_pauli();
     CHECK_NEAR(Lanczos(hp, lo).solve().eigenvalues[0], e_scb, 1e-10);
-
-    const CsrMatrix hc = CsrMatrix::from_dense(h.to_matrix(), 1e-14);
-    CHECK_NEAR(Lanczos(hc, lo).solve().eigenvalues[0], e_scb, 1e-10);
-
-    // Mixed sum (H/2 as SCB) + (H/2 as CSR) — still the same operator.
-    SumOperator mixed;
-    mixed.add(std::make_shared<ScbSum>(h), cplx(0.5));
-    mixed.add(std::make_shared<CsrMatrix>(hc), cplx(0.5));
-    CHECK_NEAR(Lanczos(mixed, lo).solve().eigenvalues[0], e_scb, 1e-10);
   }
 
   // -- start-vector overload: beginning at the ground state converges on
@@ -204,10 +192,9 @@ int main() {
   // an exact eigenvector, so the first extension breaks down and k = 2
   // forces the random-deflation path ----------------------------------------
   {
-    std::vector<Triplet> t;
-    for (std::size_t i = 0; i < 16; ++i)
-      t.push_back({i, i, cplx(static_cast<double>(i))});
-    const CsrMatrix diag(16, 16, t);
+    std::vector<double> w(16);
+    for (std::size_t i = 0; i < 16; ++i) w[i] = static_cast<double>(i);
+    const test::DiagonalOp diag(std::move(w));
     LanczosOptions lo;
     lo.k = 2;
     lo.tol = 1e-10;
