@@ -57,13 +57,14 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 inline constexpr std::size_t kCheckpointHeaderSize = 24;
 
 /// What a checkpoint's payload contains. Stored in the header so a reader
-/// rejects e.g. a serve journal handed to Lanczos::resume(). Values 1, 2, 3
-/// and 5 belonged to retired payloads (full state, sector state, sector
-/// descriptor, imaginary-time state) and are never reused: a file carrying
-/// one fails every kind check as io_corrupt.
+/// rejects e.g. a serve journal handed to Lanczos::resume(). Values 1 to 5
+/// belonged to retired payloads (full state, sector state, sector
+/// descriptor, the dense-projection Lanczos state, imaginary-time state) and
+/// are never reused: a file carrying one fails every kind check as
+/// io_corrupt.
 enum class PayloadKind : std::uint32_t {
-  kLanczosState = 4,  ///< mid-flight thick-restart Lanczos solver state
   kServeJob = 6,      ///< gecosd job journal: spec + state + result payload
+  kLanczosState = 7,  ///< mid-flight thick-restart Lanczos solver state
 };
 
 /// Append-only payload builder. All put_* calls append native-endian raw

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 #include <utility>
 
 namespace gecos {
@@ -128,25 +127,6 @@ Matrix expm(const Matrix& a) {
     std::swap(result, scratch);
   }
   return result;
-}
-
-Matrix sqrt_unitary_2x2(const Matrix& u) {
-  assert(u.rows() == 2 && u.cols() == 2);
-  const cplx det = u(0, 0) * u(1, 1) - u(0, 1) * u(1, 0);
-  const cplx tr = u(0, 0) + u(1, 1);
-  cplx sd = std::sqrt(det);
-  cplx denom = std::sqrt(tr + 2.0 * sd);
-  if (std::abs(denom) < 1e-12) {
-    sd = -sd;  // other branch of sqrt(det)
-    denom = std::sqrt(tr + 2.0 * sd);
-  }
-  if (std::abs(denom) < 1e-12)
-    throw std::runtime_error("sqrt_unitary_2x2: degenerate input");
-  Matrix r = u;
-  r(0, 0) += sd;
-  r(1, 1) += sd;
-  r *= cplx(1.0) / denom;
-  return r;
 }
 
 }  // namespace gecos

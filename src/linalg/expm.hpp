@@ -25,7 +25,4 @@ Matrix expm_hermitian(const Matrix& h, double t);
 /// exp(A) for a general square matrix (scaling and squaring + Taylor).
 Matrix expm(const Matrix& a);
 
-/// Principal square root of a 2x2 unitary (used by Barenco decompositions).
-Matrix sqrt_unitary_2x2(const Matrix& u);
-
 }  // namespace gecos

@@ -33,79 +33,10 @@ void sort_pairs(std::size_t m, SymEigWorkspace& ws) {
 }  // namespace
 
 void SymEigWorkspace::reserve(std::size_t m) {
-  if (a.size() < m * m) a.resize(m * m);
   if (z.size() < m * m) z.resize(m * m);
   if (d.size() < m) d.resize(m);
   if (e.size() < m) e.resize(m);
   if (tmp.size() < 2 * m) tmp.resize(2 * m);
-}
-
-void eigh_sym(std::span<const double> a, std::size_t m, SymEigWorkspace& ws) {
-  assert(a.size() >= m * m);
-  ws.reserve(m);
-  std::copy(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(m * m),
-            ws.a.begin());
-  std::fill(ws.z.begin(), ws.z.begin() + static_cast<std::ptrdiff_t>(m * m),
-            0.0);
-  for (std::size_t i = 0; i < m; ++i) ws.z[i * m + i] = 1.0;
-  double* w = ws.a.data();
-
-  double frob = 0;
-  for (std::size_t i = 0; i < m * m; ++i) frob += w[i] * w[i];
-  frob = std::sqrt(frob);
-  const double tol = 1e-15 * std::max(frob, 1e-300);
-
-  const int max_sweeps = 64;
-  bool converged = false;
-  double off_residual = 0;
-  for (int sweep = 0; sweep <= max_sweeps; ++sweep) {
-    double off = 0;
-    for (std::size_t p = 0; p < m; ++p)
-      for (std::size_t q = p + 1; q < m; ++q) off += 2 * w[p * m + q] * w[p * m + q];
-    off_residual = std::sqrt(off);
-    if (off_residual <= tol) {
-      converged = true;
-      break;
-    }
-    if (sweep == max_sweeps) break;  // residual above was the final one
-    for (std::size_t p = 0; p < m; ++p) {
-      for (std::size_t q = p + 1; q < m; ++q) {
-        const double apq = w[p * m + q];
-        if (std::abs(apq) <= 1e-300) continue;
-        // Classic Jacobi rotation annihilating the (p, q) entry.
-        const double theta = (w[q * m + q] - w[p * m + p]) / (2 * apq);
-        const double t =
-            (theta >= 0 ? 1.0 : -1.0) /
-            (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        for (std::size_t r = 0; r < m; ++r) {
-          const double arp = w[r * m + p], arq = w[r * m + q];
-          w[r * m + p] = c * arp - s * arq;
-          w[r * m + q] = s * arp + c * arq;
-        }
-        for (std::size_t cidx = 0; cidx < m; ++cidx) {
-          const double apr = w[p * m + cidx], aqr = w[q * m + cidx];
-          w[p * m + cidx] = c * apr - s * aqr;
-          w[q * m + cidx] = s * apr + c * aqr;
-        }
-        for (std::size_t r = 0; r < m; ++r) {
-          const double zrp = ws.z[r * m + p], zrq = ws.z[r * m + q];
-          ws.z[r * m + p] = c * zrp - s * zrq;
-          ws.z[r * m + q] = s * zrp + c * zrq;
-        }
-      }
-    }
-  }
-  if (!converged)
-    throw Error(ErrorKind::not_converged,
-                "eigh_sym: Jacobi off-diagonal residual " +
-                    std::to_string(off_residual) + " > tol " +
-                    std::to_string(tol) + " after " +
-                    std::to_string(max_sweeps) + " sweeps (m = " +
-                    std::to_string(m) + ")");
-  for (std::size_t i = 0; i < m; ++i) ws.d[i] = w[i * m + i];
-  sort_pairs(m, ws);
 }
 
 void eigh_tridiag(std::span<const double> alpha, std::span<const double> beta,
@@ -181,6 +112,76 @@ void eigh_tridiag(std::span<const double> alpha, std::span<const double> beta,
     }
   }
   sort_pairs(m, ws);
+}
+
+void tridiagonalize(std::span<double> a, std::size_t n,
+                    std::span<double> alpha, std::span<double> beta) {
+  assert(a.size() >= n * n && alpha.size() >= n &&
+         (n == 0 || beta.size() >= n - 1));
+  if (n == 0) return;
+  // Row r (n-1 down to 1) is reduced by P_r = I - v v^T / h on indices
+  // 0..r-1 with P_r x = beta e_{r-1}, x = A[r][0..r-1]. v is kept in row r
+  // (columns 0..r-1, no longer read by the reduction) and h on the
+  // diagonal once alpha[r] is taken; h = 0 marks "no reflector".
+  for (std::size_t r = n; r-- > 1;) {
+    double* x = &a[r * n];
+    double off = 0.0;  // largest entry left of the sub-diagonal
+    for (std::size_t i = 0; i + 1 < r; ++i) off = std::max(off, std::abs(x[i]));
+    double h = 0.0;
+    if (off == 0.0) {
+      beta[r - 1] = x[r - 1];
+    } else {
+      // Scaled so tiny borders neither underflow nor lose the reflector.
+      const double scale = std::max(off, std::abs(x[r - 1]));
+      double ss = 0.0;
+      for (std::size_t i = 0; i < r; ++i) {
+        x[i] /= scale;
+        ss += x[i] * x[i];
+      }
+      const double sigma = std::copysign(std::sqrt(ss), x[r - 1]);
+      x[r - 1] += sigma;
+      h = sigma * x[r - 1];  // v^T v / 2
+      beta[r - 1] = -sigma * scale;
+      // A <- P A P on the leading r x r block: A - v q^T - q v^T with
+      // p = A v / h and q = p - (v^T p / 2h) v, staged in column r above
+      // the diagonal, which the reduction never reads again.
+      double vp = 0.0;
+      for (std::size_t i = 0; i < r; ++i) {
+        double s = 0.0;
+        for (std::size_t c = 0; c < r; ++c) s += a[i * n + c] * x[c];
+        a[i * n + r] = s / h;
+        vp += x[i] * a[i * n + r];
+      }
+      const double kk = vp / (2.0 * h);
+      for (std::size_t i = 0; i < r; ++i) a[i * n + r] -= kk * x[i];
+      for (std::size_t i = 0; i < r; ++i)
+        for (std::size_t c = 0; c < r; ++c)
+          a[i * n + c] -= x[i] * a[c * n + r] + a[i * n + r] * x[c];
+    }
+    alpha[r] = a[r * n + r];
+    a[r * n + r] = h;
+  }
+  alpha[0] = a[0];
+
+  // Q = P_{n-1} ... P_2, accumulated in place innermost first: before step
+  // r the leading r x r block holds P_{r-1} ... P_2 (index r-1 padded as
+  // identity) and row r still holds v_r.
+  a[0] = 1.0;
+  for (std::size_t r = 1; r < n; ++r) {
+    const double* v = &a[r * n];
+    const double h = a[r * n + r];
+    for (std::size_t i = 0; i < r; ++i) a[i * n + r] = 0.0;
+    if (h != 0.0) {
+      for (std::size_t c = 0; c < r; ++c) {
+        double s = 0.0;
+        for (std::size_t i = 0; i < r; ++i) s += v[i] * a[i * n + c];
+        s /= h;
+        for (std::size_t i = 0; i < r; ++i) a[i * n + c] -= s * v[i];
+      }
+    }
+    for (std::size_t c = 0; c < r; ++c) a[r * n + c] = 0.0;
+    a[r * n + r] = 1.0;
+  }
 }
 
 void expm_tridiag_e1(std::span<const double> alpha,

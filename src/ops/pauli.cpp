@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -185,7 +184,7 @@ void PauliSum::grow(std::size_t min_live_capacity) {
     std::size_t idx = packed_hash_xz(key, key + words_, words_) & mask;
     std::size_t step = 0;
     while (state_[idx] != kEmpty) idx = (idx + ++step) & mask;
-    std::memcpy(keys_.data() + idx * stride, key, stride * sizeof(std::uint64_t));
+    std::copy_n(key, stride, keys_.data() + idx * stride);
     coeffs_[idx] = old_coeffs[i];
     state_[idx] = kLive;
   }
@@ -207,8 +206,9 @@ void PauliSum::add_raw(const std::uint64_t* x, const std::uint64_t* z,
     if (state_[idx] == kEmpty) {
       if (std::abs(coeff) <= tol) return;
       std::uint64_t* slot = keys_.data() + idx * stride;
-      std::memcpy(slot, x, words_ * sizeof(std::uint64_t));
-      std::memcpy(slot + words_, z, words_ * sizeof(std::uint64_t));
+      // copy_n, not memcpy: an n = 0 sum has no key storage (null slot).
+      std::copy_n(x, words_, slot);
+      std::copy_n(z, words_, slot + words_);
       coeffs_[idx] = coeff;
       state_[idx] = kLive;
       ++occupied_;

@@ -74,7 +74,7 @@ Scheduler::Scheduler(SchedulerOptions opts)
     if (ec)
       throw Error(ErrorKind::io_corrupt,
                   "cannot create state dir " + opts_.state_dir);
-    if (opts_.resume_jobs) load_journals();
+    load_journals();
   }
   if (opts_.autostart) start();
 }
@@ -321,11 +321,24 @@ void Scheduler::run_ground_state(const JobSpec& spec, std::uint64_t id,
         static_cast<std::size_t>(spec.checkpoint_interval);
   }
   const auto run = [&](const LinearOperator& h) {
+    if (!ck.empty() && checkpoint_exists(ck)) {
+      try {
+        Lanczos solver(h, lo);
+        fill_ground_state(out, solver.resume(ck));
+        return;
+      } catch (const Error& e) {
+        // A checkpoint this build cannot resume (damaged, another format
+        // version or payload kind, another geometry) is dropped for a
+        // fresh solve; otherwise the job would fail on every resubmit.
+        if (e.kind() != ErrorKind::io_corrupt &&
+            e.kind() != ErrorKind::version_mismatch &&
+            e.kind() != ErrorKind::dim_mismatch)
+          throw;
+        remove_checkpoint(ck);
+      }
+    }
     Lanczos solver(h, lo);
-    const LanczosResult& res = (!ck.empty() && checkpoint_exists(ck))
-                                   ? solver.resume(ck)
-                                   : solver.solve();
-    fill_ground_state(out, res);
+    fill_ground_state(out, solver.solve());
   };
   if (spec.use_sector) {
     // The shared_ptr pins the cache entry for the whole solve.

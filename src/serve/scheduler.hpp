@@ -17,7 +17,9 @@
 // to the uninterrupted one for a fixed thread count — now holds end-to-end
 // through a daemon kill (pinned by tools/serve_smoke.cpp in CI). The
 // checkpoint is keyed by job_key(), not job id, so a warm re-submission of
-// an identical spec also finds it.
+// an identical spec also finds it. A checkpoint the solver cannot resume
+// (damaged, another format version or payload layout, another geometry) is
+// removed and the job solves fresh instead of failing.
 //
 // Observable batching: when the executor pops an expectation job it
 // collects EVERY other queued expectation job with the same
@@ -50,8 +52,6 @@ struct SchedulerOptions {
   std::string state_dir;
   /// Artifact-cache idle-byte budget (see ArtifactCache).
   std::size_t cache_bytes = std::size_t{512} << 20;
-  /// Scan state_dir at construction and re-enqueue non-terminal jobs.
-  bool resume_jobs = true;
   /// Start the executor thread immediately. false lets tests enqueue a
   /// deterministic backlog and then call start().
   bool autostart = true;

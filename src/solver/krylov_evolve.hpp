@@ -9,11 +9,10 @@
 // estimate beta_j |[exp(z T_j)]_{j,1}| meets the error budget; when the
 // budget cannot be met at the subspace cap, the step is split in half
 // repeatedly (each half gets half the budget, so the per-call total is
-// honored). Hermitian operators (the default, kLanczos) use the three-term
-// recurrence plus full reorthogonalization and the tridiagonal eigensolver;
-// kArnoldi handles general operators through a Hessenberg projection and
-// the dense expm. All large-vector work runs on the shared KrylovBasis /
-// BLAS-1 kernels; in kLanczos mode nothing allocates after the first step.
+// honored). The operator must be Hermitian: the projection is the Lanczos
+// three-term recurrence plus full reorthogonalization, exponentiated through
+// the tridiagonal eigensolver. All large-vector work runs on the shared
+// KrylovBasis / BLAS-1 kernels; nothing allocates after the first step.
 // See DESIGN.md "Krylov solver layer".
 #pragma once
 
@@ -28,18 +27,10 @@
 
 namespace gecos {
 
-/// Projection flavor of a KrylovEvolver.
-enum class KrylovMode {
-  kLanczos,  ///< Hermitian three-term recurrence (default; allocation-free)
-  kArnoldi,  ///< general Hessenberg projection (dense expm per solve)
-};
-
 /// Tuning knobs for KrylovEvolver.
 struct KrylovOptions {
   std::size_t max_subspace = 30;  ///< Krylov dimension cap m (>= 2)
   double tol = 1e-12;             ///< per-step error budget, relative to ||x||
-  KrylovMode mode = KrylovMode::kLanczos;  ///< Hermitian vs general projection
-  double breakdown_tol = 1e-12;   ///< beta below this: invariant subspace
 };
 
 /// Statistics of one step()/apply_expm() call on a KrylovEvolver, exposed
@@ -112,7 +103,6 @@ class KrylovEvolver : public Evolver {
   // object; see Evolver docs). All sized at construction.
   mutable KrylovBasis basis_;
   mutable std::vector<double> alpha_, beta_;  // Lanczos recurrence
-  mutable std::vector<cplx> hess_;            // Arnoldi Hessenberg, row-major
   mutable std::vector<cplx> coeffs_;          // exp(z T) e1
   mutable SymEigWorkspace ws_;
   mutable double last_beta_ = 0;  // outward coupling of the built projection

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,11 +16,6 @@ namespace gecos {
 
 namespace {
 
-/// Orthogonality-loss threshold of the selective policy: a full pass fires
-/// when the omega estimate crosses sqrt(machine epsilon).
-const double kOmegaLimit = std::sqrt(std::numeric_limits<double>::epsilon());
-/// Baseline orthogonality level right after an explicit orthogonalization.
-const double kEps = std::numeric_limits<double>::epsilon();
 /// Health-monitor bound on norm drift / orthogonality loss at restart and
 /// resume boundaries: explicit (re)orthogonalization keeps both near 1e-13,
 /// so crossing 1e-6 means the basis invariants are gone, not merely noisy.
@@ -43,10 +37,9 @@ Lanczos::Lanczos(const LinearOperator& op, LanczosOptions opts)
   if (opts.k + 2 > m_)
     throw std::invalid_argument(
         "Lanczos: max_subspace must be >= k + 2 (and <= operator dim)");
-  tmat_.assign(m_ * m_, 0.0);
-  proj_.assign(m_ * m_, 0.0);
-  omega_.assign(m_ + 1, kEps);
-  omega_prev_.assign(m_ + 1, kEps);
+  alpha_.assign(m_, 0.0);
+  beta_.assign(m_, 0.0);
+  arrow_.assign((keep_ + 1) * (keep_ + 1), 0.0);
   coeffs_.assign(m_ + 1, cplx(0.0));
   ws_.reserve(m_);
   result_.eigenvalues.assign(opts_.k, 0.0);
@@ -69,91 +62,56 @@ double Lanczos::extend(std::size_t j) const {
   op_.apply(basis_.vec(j), w);
   ++result_.matvecs;
 
-  // Local recurrence: remove the known couplings of column j of the
-  // projected matrix — the single sub-diagonal beta for a plain Lanczos
-  // step, the whole border row when v_j is the residual vector of a thick
-  // restart (j == locked_).
-  if (j == locked_ && locked_ > 0) {
-    for (std::size_t i = 0; i < locked_; ++i)
-      vec_axpy(w, cplx(-tmat_[i * m_ + j]), basis_.vec(i));
-  } else if (j > 0) {
-    vec_axpy(w, cplx(-tmat_[(j - 1) * m_ + j]), basis_.vec(j - 1));
-  }
+  // The three-term recurrence is the first Gram-Schmidt pass; one
+  // classical pass over the whole prefix restores machine-level
+  // orthogonality ("twice is enough").
+  if (j > 0) vec_axpy(w, cplx(-beta_[j - 1]), basis_.vec(j - 1));
   const double a = vec_dot(basis_.vec(j), w).real();
-  tmat_[j * m_ + j] = a;
+  alpha_[j] = a;
   vec_axpy(w, cplx(-a), basis_.vec(j));
-
-  switch (opts_.reorth) {
-    case LanczosReorth::kFull:
-      // The local recurrence was the first Gram-Schmidt pass; one classical
-      // pass over the whole prefix restores machine-level orthogonality
-      // ("twice is enough").
-      basis_.orthogonalize(w, j + 1, {}, 1);
-      break;
-    case LanczosReorth::kSelective: {
-      // Parlett-Simon omega recurrence over the tridiagonal tail estimates
-      // |<v_{j+1}, v_i>| growth from the three-term recurrence alone; a
-      // full pass fires only when the estimate crosses sqrt(eps). The
-      // locked thick-restart prefix is always projected out (it is k+8
-      // vectors at most — cheap next to a matvec). Conventions: omega_
-      // holds the current generation omega_{j,.} with the implicit
-      // diagonal omega_{j,j} = 1, omega_prev_ the previous one; the new
-      // generation is computed strictly from OLD values (old_im1 carries
-      // the pre-overwrite omega_{j,i-1}).
-      if (locked_ > 0) basis_.orthogonalize(w, locked_, {}, 1);
-      const double bj = std::max(vec_norm(w), 1e-300);
-      const double bjm1 = j > locked_ ? tmat_[(j - 1) * m_ + j] : 0.0;
-      double worst = 0.0;
-      double old_im1 = 0.0;  // omega_{j,locked_-1}: outside the tail, ~0
-      for (std::size_t i = locked_; i + 1 <= j; ++i) {
-        const double ai = tmat_[i * m_ + i];
-        const double bi = i + 1 < m_ ? tmat_[i * m_ + i + 1] : 0.0;
-        const double bim1 = i > locked_ ? tmat_[(i - 1) * m_ + i] : 0.0;
-        const double old_i = omega_[i];
-        const double old_ip1 = i + 2 <= j ? omega_[i + 1] : 1.0;  // om_{j,j}
-        double next = bi * old_ip1 + (ai - a) * old_i + bim1 * old_im1 -
-                      bjm1 * omega_prev_[i];
-        next = std::abs(next) / bj + kEps;
-        omega_prev_[i] = old_i;
-        omega_[i] = next;
-        old_im1 = old_i;
-        worst = std::max(worst, next);
-      }
-      omega_prev_[j] = 1.0;   // omega_{j,j}
-      omega_[j] = kEps;       // omega_{j+1,j}: freshly orthogonal pair
-      if (worst > kOmegaLimit) {
-        basis_.orthogonalize(w, j + 1, {}, 1);
-        for (std::size_t i = 0; i <= j; ++i)
-          omega_[i] = omega_prev_[i] = kEps;
-        return vec_norm(w);
-      }
-      return bj;  // w untouched since the norm above: reuse it
-    }
-  }
+  basis_.orthogonalize(w, j + 1, {}, 1);
   return vec_norm(w);
 }
 
 void Lanczos::project_eig(std::size_t jj) const {
-  for (std::size_t r = 0; r < jj; ++r)
-    for (std::size_t c = 0; c < jj; ++c)
-      proj_[r * jj + c] = tmat_[r * m_ + c];
-  eigh_sym(proj_, jj, ws_);
+  GECOS_SPAN("lanczos.eig");
+  eigh_tridiag(alpha_, beta_, jj, ws_);
 }
 
-void Lanczos::thick_restart(std::size_t jj, std::size_t l, double b) const {
+void Lanczos::thick_restart(std::size_t jj, double b) const {
   GECOS_SPAN("lanczos.restart");
-  // Ritz vectors u_i = V z_i of the l lowest pairs, staged in aux_ (the
-  // basis slots are still live inputs while any u_i is unfinished).
+  // On the l lowest Ritz vectors u_i = V z_i plus the residual vector, the
+  // projection is an arrowhead: diag(theta_i) bordered by the couplings
+  // b_i = b * z_{jj-1,i} in row/column l. Reducing it from row l gives
+  // T = Q^T A Q with Q e_l = e_l, so the kept vectors become V (Z_l Q) and
+  // the residual vector couples to the last of them only.
+  const std::size_t l = keep_;
+  const std::size_t n = l + 1;
+  std::fill(arrow_.begin(), arrow_.end(), 0.0);
   for (std::size_t i = 0; i < l; ++i) {
-    for (std::size_t r = 0; r < jj; ++r)
-      coeffs_[r] = cplx(ws_.z[r * jj + i]);
+    arrow_[i * n + i] = ws_.d[i];
+    const double bi = b * ws_.z[(jj - 1) * jj + i];
+    arrow_[i * n + l] = bi;
+    arrow_[l * n + i] = bi;
+  }
+  tridiagonalize(arrow_, n, alpha_, beta_);  // alpha_[l]: the next extend
+
+  // Kept vectors staged in aux_ (the basis slots are still live inputs
+  // while any of them is unfinished).
+  for (std::size_t i = 0; i < l; ++i) {
+    for (std::size_t r = 0; r < jj; ++r) {
+      double c = 0.0;
+      for (std::size_t p = 0; p < l; ++p)
+        c += ws_.z[r * jj + p] * arrow_[p * n + i];
+      coeffs_[r] = cplx(c);
+    }
     vec_fill(aux_.vec(i), cplx(0.0));
     basis_.accumulate(aux_.vec(i), coeffs_, jj);
   }
   for (std::size_t i = 0; i < l; ++i) vec_copy(basis_.vec(i), aux_.vec(i));
   vec_copy(basis_.vec(l), basis_.vec(jj));
 
-  // Restart-boundary health monitors: every kept Ritz vector must still be
+  // Restart-boundary health monitors: every kept vector must still be
   // unit-norm and orthogonal to the carried residual vector. Both are
   // ~1e-13 for an orthogonalizing policy, so a 1e-6 excursion is a real
   // loss of invariants (reported as breakdown), not noise. The reductions
@@ -172,16 +130,6 @@ void Lanczos::thick_restart(std::size_t jj, std::size_t l, double b) const {
                     std::to_string(drift) + ", orthogonality loss " +
                     std::to_string(ortho) + ")");
 
-  // New projected matrix: diag(theta_i) bordered by the residual couplings
-  // b_i = beta * z_{last,i} in row/column l.
-  std::fill(tmat_.begin(), tmat_.end(), 0.0);
-  for (std::size_t i = 0; i < l; ++i) {
-    tmat_[i * m_ + i] = ws_.d[i];
-    const double bi = b * ws_.z[(jj - 1) * jj + i];
-    tmat_[i * m_ + l] = bi;
-    tmat_[l * m_ + i] = bi;
-  }
-  locked_ = l;
   ++result_.restarts;
   if (result_.restart_history.size() < result_.restart_history.capacity()) {
     LanczosRestartInfo info;
@@ -192,7 +140,6 @@ void Lanczos::thick_restart(std::size_t jj, std::size_t l, double b) const {
     info.ortho_loss = ortho;
     result_.restart_history.push_back(info);
   }
-  for (std::size_t i = 0; i <= m_; ++i) omega_[i] = omega_prev_[i] = kEps;
 }
 
 const LanczosResult& Lanczos::solve() {
@@ -219,16 +166,13 @@ void Lanczos::save_checkpoint(std::size_t j) const {
   w.put_u64(dim_);
   w.put_u64(m_);
   w.put_u64(opts_.k);
-  w.put_u32(static_cast<std::uint32_t>(opts_.reorth));
   w.put_u64(keep_);
-  w.put_u64(locked_);
   w.put_u64(j);
   w.put_u64(result_.iterations);
   w.put_u64(result_.matvecs);
   w.put_u64(result_.restarts);
-  for (std::size_t i = 0; i < m_ * m_; ++i) w.put_f64(tmat_[i]);
-  for (std::size_t i = 0; i <= m_; ++i) w.put_f64(omega_[i]);
-  for (std::size_t i = 0; i <= m_; ++i) w.put_f64(omega_prev_[i]);
+  for (std::size_t i = 0; i < m_; ++i) w.put_f64(alpha_[i]);
+  for (std::size_t i = 0; i < m_; ++i) w.put_f64(beta_[i]);
   // Engine and distribution serialize exactly through their iostream
   // operators (integer words; max_digits10 floats for the cached spare).
   std::ostringstream rs;
@@ -246,33 +190,24 @@ const LanczosResult& Lanczos::resume(const std::string& path) {
   const std::uint64_t dim = r.get_u64();
   const std::uint64_t m = r.get_u64();
   const std::uint64_t k = r.get_u64();
-  const std::uint32_t reorth = r.get_u32();
-  if (dim != dim_ || m != m_ || k != opts_.k ||
-      reorth != static_cast<std::uint32_t>(opts_.reorth))
+  if (dim != dim_ || m != m_ || k != opts_.k)
     throw Error(ErrorKind::dim_mismatch,
                 path + ": checkpoint geometry (dim " + std::to_string(dim) +
                     ", m " + std::to_string(m) + ", k " + std::to_string(k) +
-                    ", reorth " + std::to_string(reorth) +
                     ") does not match this solver (dim " +
                     std::to_string(dim_) + ", m " + std::to_string(m_) +
-                    ", k " + std::to_string(opts_.k) + ", reorth " +
-                    std::to_string(static_cast<std::uint32_t>(opts_.reorth)) +
-                    ")");
+                    ", k " + std::to_string(opts_.k) + ")");
   const std::uint64_t keep = r.get_u64();
-  const std::uint64_t locked = r.get_u64();
   const std::uint64_t j = r.get_u64();
-  if (keep != keep_ || j >= m || locked > j)
+  if (keep != keep_ || j >= m)
     throw Error(ErrorKind::io_corrupt,
                 path + ": solver state out of bounds (keep " +
-                    std::to_string(keep) + ", locked " +
-                    std::to_string(locked) + ", j " + std::to_string(j) +
-                    ")");
+                    std::to_string(keep) + ", j " + std::to_string(j) + ")");
   result_.iterations = static_cast<std::size_t>(r.get_u64());
   result_.matvecs = static_cast<std::size_t>(r.get_u64());
   result_.restarts = static_cast<std::size_t>(r.get_u64());
-  for (std::size_t i = 0; i < m_ * m_; ++i) tmat_[i] = r.get_f64();
-  for (std::size_t i = 0; i <= m_; ++i) omega_[i] = r.get_f64();
-  for (std::size_t i = 0; i <= m_; ++i) omega_prev_[i] = r.get_f64();
+  for (std::size_t i = 0; i < m_; ++i) alpha_[i] = r.get_f64();
+  for (std::size_t i = 0; i < m_; ++i) beta_[i] = r.get_f64();
   std::istringstream rs(r.get_string());
   rs >> rng_ >> dist_;
   if (!rs)
@@ -280,7 +215,6 @@ const LanczosResult& Lanczos::resume(const std::string& path) {
   for (std::size_t s = 0; s <= j; ++s) r.get_cplx(basis_.vec(s));
   r.require_end();
 
-  locked_ = static_cast<std::size_t>(locked);
   result_.converged = false;
   result_.checkpoints_written = 0;
   result_.resumed_matvecs = result_.matvecs;
@@ -330,10 +264,9 @@ const LanczosResult& Lanczos::run() {
   result_.max_ortho_loss = 0.0;
   result_.residual_history.clear();
   result_.restart_history.clear();
-  locked_ = 0;
   dist_.reset();
-  std::fill(tmat_.begin(), tmat_.end(), 0.0);
-  for (std::size_t i = 0; i <= m_; ++i) omega_[i] = omega_prev_[i] = kEps;
+  std::fill(alpha_.begin(), alpha_.end(), 0.0);
+  std::fill(beta_.begin(), beta_.end(), 0.0);
 
   std::fill(result_.eigenvalues.begin(), result_.eigenvalues.end(), 0.0);
   std::fill(result_.residuals.begin(), result_.residuals.end(), 0.0);
@@ -356,9 +289,9 @@ const LanczosResult& Lanczos::loop(std::size_t j0) {
   double b_exit = 0.0;     // residual coupling at loop exit
 
   for (;;) {
-    // The loop-top state (basis prefix 0..j, projected matrix, omega
-    // recurrence, RNG, counters) is self-contained: a checkpoint taken
-    // here resumes into the bit-identical trajectory.
+    // The loop-top state (basis prefix 0..j, tridiagonal projection, RNG,
+    // counters) is self-contained: a checkpoint taken here resumes into the
+    // bit-identical trajectory.
     if (checkpointing && result_.matvecs >= next_checkpoint_) {
       save_checkpoint(j);
       ++result_.checkpoints_written;
@@ -372,7 +305,7 @@ const LanczosResult& Lanczos::loop(std::size_t j0) {
     // current block is exact; if that is not yet enough pairs, deflate by
     // continuing from a fresh random direction orthogonal to everything
     // (coupling 0 keeps the block structure intact).
-    const bool breakdown = b <= 1e-12 * std::max(1.0, std::abs(tmat_[j * m_ + j]));
+    const bool breakdown = b <= 1e-12 * std::max(1.0, std::abs(alpha_[j]));
 
     project_eig(jj);
     // Worst residual over the requested pairs available so far — the
@@ -420,26 +353,16 @@ const LanczosResult& Lanczos::loop(std::size_t j0) {
         break;
       }
       vec_scale(w, cplx(1.0 / nw));
-      if (jj == m_) {
-        // Full basis of an invariant-subspace chain: restart to make room
-        // (border couplings are b * z = 0, preserving the block boundary).
-        thick_restart(jj, std::min(keep_, jj - 1), 0.0);
-        j = locked_;
-        continue;
-      }
-      j = jj;
-      continue;
-    }
-
-    if (jj == m_) {
+      b = 0.0;
+    } else {
       vec_scale(basis_.vec(jj), cplx(1.0 / b));
-      thick_restart(jj, keep_, b);
-      j = locked_;
+    }
+    if (jj == m_) {
+      thick_restart(jj, b);
+      j = keep_;
       continue;
     }
-    tmat_[j * m_ + jj] = b;
-    tmat_[jj * m_ + j] = b;
-    vec_scale(basis_.vec(jj), cplx(1.0 / b));
+    beta_[j] = b;
     j = jj;
   }
 

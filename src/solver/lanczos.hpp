@@ -1,22 +1,25 @@
 // Thick-restart Lanczos: k lowest eigenpairs of a Hermitian LinearOperator.
 //
-// The dense Jacobi eigh caps every spectral question at ~10 qubits; this
-// solver needs only the matrix-free apply_add hot path, so ground-state
-// energies and gaps of the n = 20+ Hubbard lattices come from the same
-// kernels the evolution engine runs on. It is the standard iterative
-// projection scheme: build an orthonormal Krylov basis V_m with the
-// Hermitian three-term recurrence, diagonalize the small projected matrix,
-// lock the best Ritz pairs and restart the basis from them (thick restart,
-// Wu-Simon style) so memory stays at max_subspace vectors no matter how
-// many iterations convergence takes. Reorthogonalization policy, residual
-// convergence criteria and the restart rule are documented in DESIGN.md
-// "Krylov solver layer". After construction (which preallocates the basis,
-// the projected matrix and the small-eigensolver workspace), solve() runs
-// allocation-free — probe-verified in tests/test_lanczos.cpp.
+// A dense eigh caps every spectral question at ~10 qubits; this solver
+// needs only the matrix-free apply_add hot path, so ground-state energies
+// and gaps of the n = 20+ Hubbard lattices come from the same kernels the
+// evolution engine runs on. It is the standard iterative projection scheme:
+// build an orthonormal Krylov basis V_m with the Hermitian three-term
+// recurrence plus one full reorthogonalization pass, diagonalize the small
+// tridiagonal projection (eigh_tridiag), keep the best Ritz pairs and
+// restart the basis from them (thick restart, Wu-Simon style) so memory
+// stays at max_subspace vectors no matter how many iterations convergence
+// takes. The arrowhead a thick restart leaves is reduced back to
+// tridiagonal form on the spot (tridiagonalize), so the projection is
+// tridiagonal at every iteration. Convergence criteria and the restart rule
+// are documented in DESIGN.md "Krylov solver layer". After construction
+// (which preallocates the basis, the projection and the small-eigensolver
+// workspace), solve() runs allocation-free — probe-verified in
+// tests/test_lanczos.cpp.
 //
 // Long solves are resumable: with LanczosOptions::checkpoint_path and
 // checkpoint_interval set, the solver writes its complete mid-flight state
-// (live basis prefix, projected matrix, omega recurrence, RNG and counters)
+// (live basis prefix, tridiagonal projection, RNG and counters)
 // through src/io/checkpoint.hpp every `interval` matvecs, at the top of the
 // iteration loop where that state is self-contained. resume() reloads a
 // checkpoint (`.bak` fallback included) and continues the identical
@@ -39,19 +42,12 @@
 
 namespace gecos {
 
-/// Reorthogonalization policy of a Lanczos run (see DESIGN.md).
-enum class LanczosReorth {
-  kFull,       ///< every iteration orthogonalizes against the whole basis
-  kSelective,  ///< omega-recurrence estimate triggers full passes on demand
-};
-
 /// Tuning knobs for the Lanczos eigensolver.
 struct LanczosOptions {
   std::size_t k = 1;               ///< number of lowest eigenpairs wanted
   std::size_t max_subspace = 48;   ///< basis cap m before a thick restart
   std::size_t max_matvecs = 20000; ///< hard budget on operator applications
   double tol = 1e-10;              ///< residual bound ||H y - theta y||
-  LanczosReorth reorth = LanczosReorth::kFull;  ///< see DESIGN.md
   bool compute_vectors = true;     ///< recover Ritz vectors after convergence
   std::uint64_t seed = 20260730;   ///< start-vector seed when none is given
   /// Checkpoint file path; empty (the default) disables checkpointing and
@@ -125,7 +121,7 @@ class Lanczos {
   /// Continues a solve from the checkpoint at `path` (falling back to
   /// `path + ".bak"` when the primary is missing or corrupt). The
   /// checkpoint must have been written by a solver over the same operator
-  /// geometry — dim, max_subspace, k and reorth policy are validated and a
+  /// geometry — dim, max_subspace and k are validated and a
   /// mismatch throws Error{dim_mismatch}; damaged files throw
   /// Error{io_corrupt} / Error{version_mismatch}. The continuation is
   /// bit-identical to the uninterrupted run for a fixed thread count.
@@ -147,32 +143,31 @@ class Lanczos {
   /// basis vector at slot j0 (0 for a fresh run, the checkpointed index
   /// for a resume).
   const LanczosResult& loop(std::size_t j0);
-  /// Serializes the loop-top state (basis prefix 0..j, projected matrix,
-  /// omega recurrence, RNG, counters) to opts_.checkpoint_path.
+  /// Serializes the loop-top state (basis prefix 0..j, tridiagonal
+  /// projection, RNG, counters) to opts_.checkpoint_path.
   void save_checkpoint(std::size_t j) const;
   /// One Lanczos extension from slot j: leaves the unnormalized residual in
   /// slot j+1 and returns its norm beta_j.
   double extend(std::size_t j) const;
-  /// Diagonalizes the leading jj x jj block of the projected matrix.
+  /// Diagonalizes the leading jj x jj block of the tridiagonal projection.
   void project_eig(std::size_t jj) const;
-  /// Contracts the jj-vector basis to the l lowest Ritz vectors plus the
-  /// (already normalized) residual vector in slot jj, whose coupling norm
-  /// is b.
-  void thick_restart(std::size_t jj, std::size_t l, double b) const;
+  /// Contracts the jj-vector basis to keep_ vectors spanning the lowest
+  /// Ritz vectors plus the (already normalized) residual vector in slot jj,
+  /// whose coupling norm is b, and reduces the projection on them to
+  /// tridiagonal form.
+  void thick_restart(std::size_t jj, double b) const;
 
   const LinearOperator& op_;
   LanczosOptions opts_;
   std::size_t dim_ = 0;
   std::size_t m_ = 0;  // effective subspace cap
-  mutable std::size_t locked_ = 0;  // thick-restart prefix (0 until one)
-
   std::size_t keep_ = 0;    // Ritz pairs kept at a thick restart (>= k)
 
   mutable KrylovBasis basis_;  // m_ + 1 slots: v_0..v_m
   mutable KrylovBasis aux_;    // keep_ slots: restart staging / Ritz vectors
-  mutable std::vector<double> tmat_;  // m_ x m_ projected matrix, row-major
-  mutable std::vector<double> proj_;  // packed leading block for eigh_sym
-  mutable std::vector<double> omega_, omega_prev_;  // selective-reorth bound
+  // Tridiagonal projection: alpha_[i] = T[i][i], beta_[i] = T[i][i+1].
+  mutable std::vector<double> alpha_, beta_;
+  mutable std::vector<double> arrow_;  // restart arrowhead, then its factor Q
   mutable std::vector<cplx> coeffs_;  // recombination scratch
   mutable SymEigWorkspace ws_;
   mutable std::mt19937_64 rng_;

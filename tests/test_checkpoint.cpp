@@ -142,20 +142,24 @@ int main() {
     CHECK(read_checkpoint(path, PayloadKind::kServeJob).payload ==
           raw_payload(64, 3));
 
-    // A checksum-valid image of a retired kind (5, the imaginary-time state
-    // an older build wrote) is rejected by the kind check and by the one
-    // production reader of kLanczosState, never decoded as solver state.
+    // A checksum-valid image of a retired kind (4, the dense-projection
+    // Lanczos state, and 5, the imaginary-time state, that older builds
+    // wrote) is rejected by the kind check and by the one production reader
+    // of kLanczosState, never decoded as solver state.
     const std::string rpath = "ckpt_test_retired.bin";
-    remove_checkpoint(rpath);
-    write_checkpoint(rpath, static_cast<PayloadKind>(5), raw_payload(256, 5));
-    CHECK(throws_kind(ErrorKind::io_corrupt,
-                      [&] { (void)read_checkpoint(rpath, kind); }));
     HubbardParams chain;
     chain.lx = 4;
     const ScbSum h = hubbard_scb(chain);
     Lanczos solver(h, LanczosOptions{});
-    CHECK(throws_kind(ErrorKind::io_corrupt,
-                      [&] { (void)solver.resume(rpath); }));
+    for (const std::uint32_t retired : {4u, 5u}) {
+      remove_checkpoint(rpath);
+      write_checkpoint(rpath, static_cast<PayloadKind>(retired),
+                       raw_payload(256, retired));
+      CHECK(throws_kind(ErrorKind::io_corrupt,
+                        [&] { (void)read_checkpoint(rpath, kind); }));
+      CHECK(throws_kind(ErrorKind::io_corrupt,
+                        [&] { (void)solver.resume(rpath); }));
+    }
     remove_checkpoint(rpath);
   }
 

@@ -1,8 +1,7 @@
 // Lanczos eigensolver suite: k lowest eigenpairs against dense eigh on Hubbard
 // lattices up to n = 10, Ritz-vector residuals and orthonormality,
-// reorthogonalization-policy agreement, operator-interface genericity
-// (ScbSum / PauliSum), restart and deflation paths on an exact diagonal
-// operator, and the zero-allocation-after-warm-up pin via the operator-new
+// operator-interface genericity (ScbSum / PauliSum), restart and deflation
+// paths on exact diagonal operators, and the zero-allocation-after-warm-up pin via the operator-new
 // probe.
 #include "alloc_probe.hpp"  // first: replaces global operator new
 // clang-format off
@@ -103,32 +102,10 @@ int main() {
     }
   }
 
-  // -- reorthogonalization policies agree ------------------------------------
-  {
-    HubbardParams p;
-    p.lx = 8;
-    p.u = 2.0;
-    p.mu = 0.3;
-    p.periodic_x = true;
-    const ScbSum h = hubbard_scb(p);
-    LanczosOptions full;
-    full.k = 2;
-    full.tol = 1e-11;
-    LanczosOptions sel = full;
-    sel.reorth = LanczosReorth::kSelective;
-    Lanczos sf(h, full), ss(h, sel);
-    const double e_full = sf.solve().eigenvalues[0];
-    const LanczosResult& rs = ss.solve();
-    CHECK(rs.converged);
-    CHECK_NEAR(rs.eigenvalues[0], e_full, 1e-10);
-    std::printf("selective: matvecs=%zu (full %zu)\n", rs.matvecs,
-                sf.result().matvecs);
-  }
-
-  // -- selective reorth on an adversarial spectrum: a wide PSD diagonal
-  // operator where a broken omega recurrence silently converges to Ritz
-  // values BELOW the spectrum (regression pin for the in-place-update bug).
-  // True residuals are checked, not the solver's own estimates ------------
+  // -- adversarial spectrum: a wide PSD diagonal operator whose slow
+  // convergence takes ~90 thick restarts, most of them carrying locked
+  // pairs with tiny border couplings into the arrowhead reduction. True
+  // residuals are checked, not the solver's own estimates ----------------
   {
     const std::size_t nn = 1024;
     std::vector<double> w(nn);
@@ -139,10 +116,11 @@ int main() {
     lo.k = 4;
     lo.tol = 1e-10;
     lo.max_subspace = 60;
-    lo.reorth = LanczosReorth::kSelective;
     Lanczos s(d, lo);
     const LanczosResult& r = s.solve();
     CHECK(r.converged);
+    std::printf("diag1024: matvecs=%zu restarts=%zu\n", r.matvecs,
+                r.restarts);
     std::vector<cplx> hy(nn);
     for (std::size_t i = 0; i < lo.k; ++i) {
       CHECK_NEAR(r.eigenvalues[i], static_cast<double>(i * i) / 100.0, 1e-9);

@@ -140,8 +140,6 @@ int main() {
   {
     const Matrix u = Matrix::random_unitary(8, rng);
     CHECK(u.is_unitary(1e-10));
-    const Matrix s2 = sqrt_unitary_2x2(Matrix{{0, 1}, {1, 0}});
-    CHECK_NEAR((s2 * s2).max_abs_diff(Matrix{{0, 1}, {1, 0}}), 0.0, 1e-12);
     const Matrix a = random_matrix(4, 4, rng);
     CHECK_NEAR(a.dagger().dagger().max_abs_diff(a), 0.0, 0.0);
     CHECK_NEAR(std::abs(a.trace() - (a(0, 0) + a(1, 1) + a(2, 2) + a(3, 3))),

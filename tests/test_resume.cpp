@@ -99,12 +99,6 @@ int main() {
     Lanczos wrong_m(h, lo2);
     CHECK(throws_kind(ErrorKind::dim_mismatch,
                       [&] { (void)wrong_m.resume(lpath); }));
-
-    LanczosOptions lo3 = lo;  // different reorth policy
-    lo3.reorth = LanczosReorth::kSelective;
-    Lanczos wrong_policy(h, lo3);
-    CHECK(throws_kind(ErrorKind::dim_mismatch,
-                      [&] { (void)wrong_policy.resume(lpath); }));
   }
 
   // -- fault recovery: corrupt primary falls back to .bak, both dead throws -

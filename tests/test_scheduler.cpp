@@ -1,13 +1,16 @@
 // Scheduler suite: deterministic results across scheduler instances,
 // priority ordering under a busy executor, observable batching (one Krylov
 // pass for K coalesced expectation jobs, bitwise equal to sequential runs),
-// cooperative cancel, runtime-failure kind propagation, abandon-and-resume
-// through the job journal + solver checkpoint, and terminal-result
+// cooperative cancel, runtime-failure kind propagation, a fresh solve past
+// an unreadable solver checkpoint, abandon-and-resume through the job
+// journal + solver checkpoint, and terminal-result
 // persistence across a process-lifetime boundary (simulated by a fresh
 // Scheduler on the same state dir with the executor never started).
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -213,6 +216,34 @@ int main() {
     CHECK(!st.error_message.empty());
     CHECK(throws_kind(ErrorKind::protocol, [&] { (void)sched.fetch(id); }));
     CHECK_EQ(sched.stats().failed, 1u);
+    sched.stop(false);
+  }
+
+  // -- an unreadable solver checkpoint is dropped for a fresh solve, so a
+  // ground job with a damaged (or older-format) file still completes -------
+  {
+    JobSpec spec = small_ground();
+    spec.checkpoint_interval = 25;
+    const std::string dir = root + "/garbage";
+    std::filesystem::create_directories(dir, ec);
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(job_key(spec)));
+    const std::string ck = dir + "/ck_" + hex + ".ckpt";
+    std::ofstream(ck, std::ios::binary) << "not a checkpoint";
+    SchedulerOptions o;
+    o.state_dir = dir;
+    Scheduler sched(o);
+    const std::uint64_t id = sched.submit(spec);
+    CHECK(sched.wait(id, 600.0));
+    CHECK(sched.status(id).state == JobState::kDone);
+    if (sched.status(id).state == JobState::kDone) {
+      const JobResult r = sched.fetch(id);
+      CHECK(r.converged && !r.resumed);
+      CHECK(bitwise_equal(r.eigenvalues, small_ref.eigenvalues));
+      CHECK_EQ(r.matvecs, small_ref.matvecs);
+    }
+    CHECK(!std::filesystem::exists(ck));
     sched.stop(false);
   }
 
