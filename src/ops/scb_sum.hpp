@@ -17,7 +17,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,17 +29,16 @@
 
 namespace gecos {
 
-/// Shared compiled-kernel cache for ScbSum. Hoisted out of the sum itself
-/// (ROADMAP item 3 / the serving layer's artifact cache) so copies of an
-/// unmutated sum — and cached Hamiltonians handed out by gecosd — share one
-/// set of compiled TermKernels instead of each recompiling. The mutex
-/// guards the lazy rebuild; after the rebuild the kernels are immutable, so
-/// any number of threads can apply concurrently.
-struct ScbKernelCache {
-  std::mutex mutex;                 ///< guards the dirty-rebuild transition
-  std::vector<TermKernel> kernels;  ///< one compiled kernel per term
-  bool dirty = true;                ///< true until rebuilt from the terms
-};
+/// Compiled apply plan of an ScbSum — one diagonal pass plus one walk per
+/// flip group (defined in scb_sum.cpp; see DESIGN.md "ScbSum compiled
+/// plan").
+struct ScbPlan;
+/// Shared compiled-plan cache of an ScbSum: the plan plus the mutex that
+/// guards its lazy rebuild (defined in scb_sum.cpp). Copies of an unmutated
+/// sum — and cached Hamiltonians handed out by gecosd — share one, so one
+/// compilation serves them all; after the rebuild the plan is immutable,
+/// so any number of threads can apply concurrently.
+struct ScbKernelCache;
 
 /// Sparse complex combination of bare SCB products, keyed by the operator
 /// word (qubit 0 first). A default-constructed sum adopts the qubit count of
@@ -53,7 +51,7 @@ class ScbSum : public LinearOperator {
   ScbSum();
   /// Empty sum with a fixed qubit count.
   explicit ScbSum(std::size_t num_qubits);
-  /// Copies SHARE the compiled-kernel cache (the copy and the original have
+  /// Copies SHARE the compiled-plan cache (the copy and the original have
   /// identical terms, so one compilation serves both until either mutates —
   /// a mutation detaches onto a fresh cache, see invalidate_kernels()).
   /// Moves steal the cache outright; the moved-from sum lazily recreates
@@ -121,26 +119,28 @@ class ScbSum : public LinearOperator {
 
   /// Two-argument accumulate and overwriting apply from the base class.
   using LinearOperator::apply_add;
-  /// y += scale * A x matrix-free via one TermKernel per term
-  /// (x.size() == 2^n; x and y distinct buffers, asserted). The compiled
-  /// kernels are cached between calls and rebuilt only after a mutation, so
-  /// repeated application (the evolution loop, expectation values) does no
-  /// per-call allocation; the rebuild is mutex-guarded, so concurrent
-  /// apply_add/expectation on a shared *const* sum is safe (mutating
-  /// concurrently with application is not, as usual).
+  /// y += scale * A x matrix-free through the compiled plan (ScbPlan): the
+  /// diagonal pass, then one walk per flip group (x.size() == 2^n; x and y
+  /// distinct buffers, asserted). The plan is cached between calls and
+  /// rebuilt only after a mutation, so repeated application (the evolution
+  /// loop, expectation values) does no per-call allocation; the rebuild is
+  /// mutex-guarded, so concurrent apply_add/expectation on a shared *const*
+  /// sum is safe (mutating concurrently with application is not, as
+  /// usual). Bitwise identical across thread counts and SIMD tiers.
   void apply_add(std::span<const cplx> x, std::span<cplx> y,
                  cplx scale) const override;
 
-  /// <x| A |x> read-only: each cached TermKernel sums
-  /// conj(x[s ^ flip]) * amp(s) * x[s] over its selected states (see
-  /// TermKernel::expectation), term by term in word order — no output
-  /// buffer, so StateVector::expectation(const ScbSum&) needs no scratch.
-  /// Deterministic for a fixed thread count. Throws std::invalid_argument
-  /// unless x.size() == 2^n, and Error{numerical_nan} when a read amplitude
-  /// is NaN/Inf (the same guard as vec_dot).
+  /// <x| A |x> read-only through the same plan: the diagonal pass sums
+  /// d(s) |x_s|^2 and each group walk sums conj(x[s ^ flip]) * amp(s) *
+  /// x[s] over its selected states (see TermKernel::expectation), groups in
+  /// plan order — no output buffer, so StateVector::expectation(const
+  /// ScbSum&) needs no scratch. Deterministic for a fixed thread count.
+  /// Throws std::invalid_argument unless x.size() == 2^n, and
+  /// Error{numerical_nan} when a read amplitude is NaN/Inf (the same guard
+  /// as vec_dot).
   cplx expectation(std::span<const cplx> x) const;
 
-  /// True when this sum and o currently share one compiled-kernel cache
+  /// True when this sum and o currently share one compiled-plan cache
   /// (i.e. they are copies with no intervening mutation). Diagnostic for
   /// the cache tests and the serve artifact layer.
   bool shares_kernel_cache(const ScbSum& o) const {
@@ -158,12 +158,12 @@ class ScbSum : public LinearOperator {
   void invalidate_kernels();
   // Returns the cache, recreating it when a move left kcache_ null.
   ScbKernelCache& ensure_cache() const;
-  // The compiled kernels, rebuilt under the cache mutex when dirty.
-  const std::vector<TermKernel>& kernels() const;
+  // The compiled plan, rebuilt under the cache mutex when dirty.
+  const ScbPlan& plan() const;
 
   std::size_t num_qubits_ = 0;
   std::map<std::vector<Scb>, cplx> terms_;
-  // Shared compiled-kernel cache (see ScbKernelCache). Eagerly allocated by
+  // Shared compiled-plan cache (see ScbKernelCache). Eagerly allocated by
   // the constructors and reseated by invalidate_kernels(), so on the const
   // apply path the pointer itself is stable and only the cache's own mutex
   // is needed for thread safety; null only transiently on a moved-from sum.

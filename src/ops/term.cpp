@@ -191,6 +191,19 @@ TermKernel::TermKernel(const ScbTerm& term)
   }
 }
 
+void TermKernel::pair_with(const TermKernel& adj) {
+  const std::uint64_t moved = flip & select_mask;  // transition positions
+  if (paired || adj.paired || moved == 0 || adj.flip != flip ||
+      adj.select_mask != select_mask || adj.sign_mask != sign_mask ||
+      adj.select_val != (select_val ^ moved) ||
+      adj.num_qubits != num_qubits)
+    throw std::invalid_argument("TermKernel::pair_with: not the adjoint word");
+  // A† reads t = s ^ flip and writes s: its amplitude is adj.base *
+  // (-1)^{pc(sign & t)} = adj.base * (-1)^{pc(sign & flip)} * sgn(s).
+  partner = (std::popcount(sign_mask & flip) & 1) ? -adj.base : adj.base;
+  paired = true;
+}
+
 void TermKernel::apply_add(std::span<const cplx> x, std::span<cplx> y,
                            cplx scale) const {
   assert(x.size() == y.size());
@@ -201,13 +214,17 @@ void TermKernel::apply_add(std::span<const cplx> x, std::span<cplx> y,
   // enumerates them in ascending order). Chunks seed their local walk with
   // scatter_bits; within one term s -> s ^ flip is a bijection, so chunks of
   // distinct s never write the same y amplitude and the loop is race-free.
+  // A paired adjoint also writes y[s]: its selection is the disjoint image
+  // s ^ flip, so every amplitude still has exactly one writer.
   const std::uint64_t free_mask = (x.size() - 1) & ~select_mask;
   if ((select_val & ~(x.size() - 1)) != 0) return;  // selection out of range
   const cplx b = base * scale;
+  const cplx pb = partner * scale;
   if (telemetry::metrics_enabled()) {
-    // One sweep over the selected states; 48 B per touched amplitude (16 B
-    // x gather + 32 B y read-modify-write) — the bench traffic model.
-    const std::uint64_t touched = std::uint64_t{1}
+    // One sweep over the selected states (and their partners when paired);
+    // 48 B per touched amplitude (16 B x gather + 32 B y read-modify-write)
+    // — the bench traffic model.
+    const std::uint64_t touched = std::uint64_t{paired ? 2u : 1u}
                                   << std::popcount(free_mask);
     telemetry::count(telemetry::Counter::kernel_sweeps);
     telemetry::count(telemetry::Counter::amplitudes_touched, touched);
@@ -234,8 +251,11 @@ void TermKernel::apply_add(std::span<const cplx> x, std::span<cplx> y,
           std::uint64_t sub = scatter_bits(i0, outer_mask);
           for (std::size_t i = i0; i < i1; ++i) {
             const std::uint64_t s = sub | select_val;
-            const cplx amp = (std::popcount(sign_mask & s) & 1) ? -b : b;
-            kn.axpy(y.data() + (s ^ flip), x.data() + s, run, amp);
+            const bool neg = std::popcount(sign_mask & s) & 1;
+            kn.axpy(y.data() + (s ^ flip), x.data() + s, run, neg ? -b : b);
+            if (paired)
+              kn.axpy(y.data() + s, x.data() + (s ^ flip), run,
+                      neg ? -pb : pb);
             sub = (sub - outer_mask) & outer_mask;
           }
         },
@@ -249,8 +269,9 @@ void TermKernel::apply_add(std::span<const cplx> x, std::span<cplx> y,
     std::uint64_t sub = scatter_bits(i0, free_mask);
     for (std::size_t i = i0; i < i1; ++i) {
       const std::uint64_t s = sub | select_val;
-      const cplx amp = (std::popcount(sign_mask & s) & 1) ? -b : b;
-      y[s ^ flip] += amp * x[s];
+      const bool neg = std::popcount(sign_mask & s) & 1;
+      y[s ^ flip] += (neg ? -b : b) * x[s];
+      if (paired) y[s] += (neg ? -pb : pb) * x[s ^ flip];
       sub = (sub - free_mask) & free_mask;
     }
   });
@@ -259,17 +280,20 @@ void TermKernel::apply_add(std::span<const cplx> x, std::span<cplx> y,
 cplx TermKernel::expectation(std::span<const cplx> x) const {
   assert(std::has_single_bit(x.size()));
   // The walk of apply_add, read-only: every selected s contributes
-  // conj(x[s ^ flip]) * sgn(s) * x[s], and base multiplies the total.
+  // conj(x[s ^ flip]) * sgn(s) * x[s], and base multiplies the total. A
+  // paired adjoint reads the same two amplitudes: its sum is conj of ours.
   const std::uint64_t free_mask = (x.size() - 1) & ~select_mask;
   if ((select_val & ~(x.size() - 1)) != 0) return 0.0;  // out of range
   if (telemetry::metrics_enabled()) {
-    // Two 16 B reads per selected state (one when x[s ^ flip] is x[s]).
-    const std::uint64_t touched = std::uint64_t{1}
-                                  << std::popcount(free_mask);
+    // Two 16 B reads per selected state (one when x[s ^ flip] is x[s]); a
+    // pair's two reads are the two words' distinct touched amplitudes.
+    const std::uint64_t states = std::uint64_t{1}
+                                 << std::popcount(free_mask);
     telemetry::count(telemetry::Counter::kernel_sweeps);
-    telemetry::count(telemetry::Counter::amplitudes_touched, touched);
+    telemetry::count(telemetry::Counter::amplitudes_touched,
+                     paired ? 2 * states : states);
     telemetry::count(telemetry::Counter::bytes_moved,
-                     touched * (flip == 0 ? 16 : 32));
+                     states * (flip == 0 ? 16 : 32));
   }
 
   // Per-chunk partials combined in chunk order (as vec_dot does): the
@@ -317,7 +341,7 @@ cplx TermKernel::expectation(std::span<const cplx> x) const {
   }
   cplx sum = 0;
   for (const cplx& p : partial) sum += p;
-  return base * sum;
+  return paired ? base * sum + partner * std::conj(sum) : base * sum;
 }
 
 void ScbTerm::apply_add(std::span<const cplx> x, std::span<cplx> y) const {

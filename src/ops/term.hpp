@@ -106,6 +106,12 @@ class ScbTerm {
 /// apply_add() walks only the 2^(n-k) selected states (k = #projector/
 /// transition factors) instead of testing all 2^n per-qubit products like
 /// the legacy bare_amplitude loop, parallelized over chunks of the walk.
+///
+/// A kernel can also carry its adjoint word (pair_with): A† has the same
+/// flip mask and selects exactly the targets s ^ flip of A's selected
+/// states, so one walk over A's states applies both words (y[s ^ flip] from
+/// x[s] for A, y[s] from x[s ^ flip] for A†) and one read-only walk gives
+/// both expectations (<A†> = conj<A> up to the coefficients).
 struct TermKernel : public LinearOperator {
   std::uint64_t flip = 0;         // X/Y/s/s+ positions (computational flips)
   std::uint64_t select_mask = 0;  // n/m/s/s+ positions (constrained inputs)
@@ -113,22 +119,33 @@ struct TermKernel : public LinearOperator {
   std::uint64_t sign_mask = 0;    // Y/Z positions ((-1)^{x_q} factors)
   cplx base;                      // coeff * i^{#Y}
   std::size_t num_qubits = 0;     // qubit count of the compiled term
+  bool paired = false;            // true once pair_with() folded in A†
+  cplx partner;  // A†'s amplitude at s ^ flip per sgn(s) (see pair_with)
 
   /// Compiles the bare product of `term` (h.c. flag ignored); O(n).
   explicit TermKernel(const ScbTerm& term);
+
+  /// Folds the adjoint word into this kernel's walk: `adj` must be the
+  /// compiled adjoint word (same flip, select and sign masks; transitions
+  /// swapped, so the two selections are disjoint). Afterwards apply_add and
+  /// expectation act as the two-word sum A + B. Throws
+  /// std::invalid_argument when adj is not A's adjoint word.
+  void pair_with(const TermKernel& adj);
 
   /// Qubit count of the compiled term.
   std::size_t n_qubits() const override { return num_qubits; }
 
   /// Two-argument accumulate shorthand from the base class.
   using LinearOperator::apply_add;
-  /// y += scale * A x for the bare product only (no h.c.); x and y must be
-  /// distinct buffers (asserted).
+  /// y += scale * A x for the bare product (plus its paired adjoint word,
+  /// if any; never the term's h.c. flag); x and y must be distinct buffers
+  /// (asserted).
   void apply_add(std::span<const cplx> x, std::span<cplx> y,
                  cplx scale) const override;
-  /// <x| A |x> for the bare product, read-only: the sum over selected s of
-  /// conj(x[s ^ flip]) * amp(s) * x[s], walked with apply_add's run split
-  /// and chunking, per-chunk partials combined in chunk order. Writes
+  /// <x| A |x> for the bare product, read-only: S = the sum over selected s
+  /// of conj(x[s ^ flip]) * sgn(s) * x[s], walked with apply_add's run
+  /// split and chunking, per-chunk partials combined in chunk order; the
+  /// result is base * S, plus partner * conj(S) when paired. Writes
   /// nothing and allocates nothing; x.size() must be a power of two.
   cplx expectation(std::span<const cplx> x) const;
 };

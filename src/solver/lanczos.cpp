@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "io/checkpoint.hpp"
 #include "telemetry/telemetry.hpp"
@@ -69,7 +71,16 @@ double Lanczos::extend(std::size_t j) const {
   const double a = vec_dot(basis_.vec(j), w).real();
   alpha_[j] = a;
   vec_axpy(w, cplx(-a), basis_.vec(j));
-  basis_.orthogonalize(w, j + 1, {}, 1);
+  {
+    GECOS_SPAN("lanczos.orth");
+    // Modeled traffic of one MGS pass: per basis vector, a dot (16 B of
+    // v_j and 16 B of w per amplitude) and an axpy (16 B of v_j, 32 B of w
+    // read-modify-write).
+    if (telemetry::metrics_enabled())
+      telemetry::count(telemetry::Counter::bytes_moved,
+                       static_cast<std::uint64_t>(j + 1) * dim_ * 80);
+    basis_.orthogonalize(w, j + 1, {}, 1);
+  }
   return vec_norm(w);
 }
 
@@ -203,29 +214,24 @@ const LanczosResult& Lanczos::resume(const std::string& path) {
     throw Error(ErrorKind::io_corrupt,
                 path + ": solver state out of bounds (keep " +
                     std::to_string(keep) + ", j " + std::to_string(j) + ")");
-  result_.iterations = static_cast<std::size_t>(r.get_u64());
-  result_.matvecs = static_cast<std::size_t>(r.get_u64());
-  result_.restarts = static_cast<std::size_t>(r.get_u64());
-  for (std::size_t i = 0; i < m_; ++i) alpha_[i] = r.get_f64();
-  for (std::size_t i = 0; i < m_; ++i) beta_[i] = r.get_f64();
+  // Parse into locals and check everything before committing: a resume
+  // that throws leaves the RNG, counters and projection as they were, so a
+  // following solve() draws what a fresh solver draws. The basis slots are
+  // overwritten as they are read; every solve rewrites them anyway.
+  const auto iterations = static_cast<std::size_t>(r.get_u64());
+  const auto matvecs = static_cast<std::size_t>(r.get_u64());
+  const auto restarts = static_cast<std::size_t>(r.get_u64());
+  std::vector<double> alpha(m_), beta(m_);
+  for (double& a : alpha) a = r.get_f64();
+  for (double& b : beta) b = r.get_f64();
+  std::mt19937_64 rng;
+  std::normal_distribution<double> dist;
   std::istringstream rs(r.get_string());
-  rs >> rng_ >> dist_;
+  rs >> rng >> dist;
   if (!rs)
     throw Error(ErrorKind::io_corrupt, path + ": RNG state unreadable");
   for (std::size_t s = 0; s <= j; ++s) r.get_cplx(basis_.vec(s));
   r.require_end();
-
-  result_.converged = false;
-  result_.checkpoints_written = 0;
-  result_.resumed_matvecs = result_.matvecs;
-  result_.resumed = true;
-  result_.max_norm_drift = 0.0;
-  result_.max_ortho_loss = 0.0;
-  result_.residual_history.clear();
-  result_.restart_history.clear();
-  std::fill(result_.eigenvalues.begin(), result_.eigenvalues.end(), 0.0);
-  std::fill(result_.residuals.begin(), result_.residuals.end(), 0.0);
-  next_checkpoint_ = result_.matvecs + opts_.checkpoint_interval;
 
   // Resume-boundary health monitors: the restored prefix must be an
   // orthonormal basis (the reductions also NaN-sweep every amplitude via
@@ -236,13 +242,30 @@ const LanczosResult& Lanczos::resume(const std::string& path) {
     drift = std::max(drift, std::abs(vec_norm(basis_.vec(s)) - 1.0));
   for (std::size_t s = 0; s < j; ++s)
     ortho = std::max(ortho, std::abs(vec_dot(basis_.vec(s), basis_.vec(j))));
-  result_.max_norm_drift = drift;
-  result_.max_ortho_loss = ortho;
   if (drift > kHealthLimit || ortho > kHealthLimit)
     throw Error(ErrorKind::breakdown,
                 path + ": restored basis is not orthonormal (norm drift " +
                     std::to_string(drift) + ", orthogonality loss " +
                     std::to_string(ortho) + ")");
+
+  result_.iterations = iterations;
+  result_.matvecs = matvecs;
+  result_.restarts = restarts;
+  alpha_ = std::move(alpha);
+  beta_ = std::move(beta);
+  rng_ = rng;
+  dist_ = dist;
+  result_.converged = false;
+  result_.checkpoints_written = 0;
+  result_.resumed_matvecs = matvecs;
+  result_.resumed = true;
+  result_.max_norm_drift = drift;
+  result_.max_ortho_loss = ortho;
+  result_.residual_history.clear();
+  result_.restart_history.clear();
+  std::fill(result_.eigenvalues.begin(), result_.eigenvalues.end(), 0.0);
+  std::fill(result_.residuals.begin(), result_.residuals.end(), 0.0);
+  next_checkpoint_ = matvecs + opts_.checkpoint_interval;
 
   return loop(static_cast<std::size_t>(j));
 }
@@ -372,6 +395,7 @@ const LanczosResult& Lanczos::loop(std::size_t j0) {
   }
 
   if (opts_.compute_vectors) {
+    GECOS_SPAN("lanczos.ritz");
     for (std::size_t i = 0; i < k && i < jj; ++i) {
       for (std::size_t r = 0; r < jj; ++r)
         coeffs_[r] = cplx(ws_.z[r * jj + i]);

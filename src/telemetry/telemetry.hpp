@@ -43,13 +43,16 @@ namespace gecos::telemetry {
 
 /// Monotonic event counters. Semantics of the traffic trio: matvecs counts
 /// LinearOperator::apply entries (one logical operator application);
-/// kernel_sweeps counts per-term statevector passes inside them;
-/// amplitudes_touched / bytes_moved follow the bench traffic models (48 B
-/// per touched amplitude for mask kernels, 52 B for table-driven sector
-/// hops), so they are comparable to the stream_triad roofline.
+/// kernel_sweeps counts statevector passes inside them — one per compiled
+/// group (an ScbSum's diagonal pass, an adjoint-pair walk or a lone word's
+/// walk; a Trotter fusion group; a sector apply); amplitudes_touched /
+/// bytes_moved follow the bench traffic models (48 B per touched amplitude
+/// for mask kernels, 52 B for table-driven sector hops, 80 B per amplitude
+/// and basis vector for a Lanczos reorthogonalization pass), so they are
+/// comparable to the stream_triad roofline.
 enum class Counter : int {
   matvecs = 0,         ///< LinearOperator::apply calls (logical matvecs)
-  kernel_sweeps,       ///< per-term statevector passes
+  kernel_sweeps,       ///< per-group statevector passes
   amplitudes_touched,  ///< amplitudes read-modify-written by kernels
   bytes_moved,         ///< modeled statevector traffic in bytes
   checkpoint_writes,   ///< checkpoint files written (incl. .bak rotation)
@@ -58,7 +61,7 @@ enum class Counter : int {
   pool_dispatches,     ///< parallel_for calls that reached the thread pool
   pool_chunks,         ///< chunks executed across all pool dispatches
   spans_dropped,       ///< trace span events overwritten in a full ring
-  kernel_compiles,     ///< term kernels compiled (ScbSum + SectorOperator)
+  kernel_compiles,     ///< groups compiled (ScbSum plans + SectorOperator)
   artifact_hits,       ///< serve artifact-cache lookups that hit
   artifact_misses,     ///< serve artifact-cache lookups that built
   artifact_evictions,  ///< serve artifact-cache entries evicted (LRU)

@@ -4,7 +4,9 @@
 // .bak when the primary is damaged; geometry mismatches are rejected; and
 // the same machinery works unchanged on sector-restricted operators.
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "fault_inject.hpp"
 #include "fermion/hubbard.hpp"
@@ -99,6 +101,54 @@ int main() {
     Lanczos wrong_m(h, lo2);
     CHECK(throws_kind(ErrorKind::dim_mismatch,
                       [&] { (void)wrong_m.resume(lpath); }));
+  }
+
+  // -- a resume that throws leaves the solver as fresh as it was -----------
+  // Checksum-valid images that fail later checks: one trailing byte
+  // (require_end) and a basis that is not orthonormal (the health
+  // monitor). After either throws, solve() must draw the start vector a
+  // fresh solver draws and reproduce its whole trajectory bit for bit.
+  {
+    remove_checkpoint(lpath);
+    {
+      LanczosOptions cut = lc;
+      cut.max_matvecs = 30;
+      Lanczos part(h, cut);
+      CHECK(!part.solve().converged);
+    }
+    const Checkpoint good = read_checkpoint(lpath, PayloadKind::kLanczosState);
+    std::vector<unsigned char> trailing = good.payload;
+    trailing.push_back(0);
+    // The last basis slot ends the payload: bump its first amplitude.
+    std::vector<unsigned char> skewed = good.payload;
+    const std::size_t slot = skewed.size() - h.dim() * sizeof(cplx);
+    double re = 0.0;
+    std::memcpy(&re, skewed.data() + slot, sizeof re);
+    re += 0.5;
+    std::memcpy(skewed.data() + slot, &re, sizeof re);
+
+    const std::string tpath = "resume_test_damaged.bin";
+    const struct {
+      const std::vector<unsigned char>* payload;
+      ErrorKind kind;
+    } damaged[] = {{&trailing, ErrorKind::io_corrupt},
+                   {&skewed, ErrorKind::breakdown}};
+    for (const auto& [payload, kind] : damaged) {
+      remove_checkpoint(tpath);
+      write_checkpoint(tpath, PayloadKind::kLanczosState, *payload);
+      Lanczos reused(h, lo);
+      CHECK(throws_kind(kind, [&] { (void)reused.resume(tpath); }));
+      const LanczosResult& rr = reused.solve();
+      Lanczos fresh(h, lo);
+      const LanczosResult& rf = fresh.solve();
+      CHECK(!rr.resumed);
+      CHECK_EQ(rr.matvecs, rf.matvecs);
+      CHECK_EQ(rr.restarts, rf.restarts);
+      CHECK(rr.eigenvalues == rf.eigenvalues);
+      CHECK(rr.residuals == rf.residuals);
+      CHECK(rr.residual_history == rf.residual_history);
+    }
+    remove_checkpoint(tpath);
   }
 
   // -- fault recovery: corrupt primary falls back to .bak, both dead throws -

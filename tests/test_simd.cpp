@@ -164,9 +164,9 @@ int main() {
 
   // -- dispatched blas1 and operator sweeps: bitwise across tiers -----------
   // The same run-splitting happens at every tier and the kernels are
-  // bitwise-equal, so whole vec_* reductions, TermKernel applies and
-  // Trotter trajectories must agree bit-for-bit between forced-scalar and
-  // every wide tier.
+  // bitwise-equal, so whole vec_* reductions, ScbSum applies and
+  // expectations and Trotter trajectories must agree bit-for-bit between
+  // forced-scalar and every wide tier.
   {
     HubbardParams p;
     p.lx = 5;
@@ -184,6 +184,7 @@ int main() {
     const cplx dot = vec_dot(x0, x0);
     std::vector<cplx> y_ref(dim, cplx(0.0));
     h.apply_add(x0, y_ref);
+    const cplx e_ref = h.expectation(x0);
     StateVector tr_ref(n);
     std::copy(x0.begin(), x0.end(), tr_ref.amps().begin());
     const TrotterEvolver ev(h);
@@ -197,6 +198,7 @@ int main() {
       std::vector<cplx> y(dim, cplx(0.0));
       h.apply_add(x0, y);
       CHECK(same_bits(y_ref, y));
+      CHECK(same_bits(e_ref, h.expectation(x0)));
       StateVector tr(n);
       std::copy(x0.begin(), x0.end(), tr.amps().begin());
       for (int s = 0; s < 3; ++s) ev.step(tr, 0.05, 2);

@@ -414,6 +414,15 @@ int main(int argc, char** argv) {
     const bool identical = r_off.eigenvalues == r_on.eigenvalues &&
                            r_off.residual_history == r_on.residual_history;
     CHECK(identical);
+    // The traced solve spans its layers: one reorthogonalization pass per
+    // iteration and one exit Ritz recombination.
+    std::size_t orth = 0, ritz = 0;
+    for (const tel::TraceEvent& e : tel::trace_events()) {
+      orth += std::strcmp(e.name, "lanczos.orth") == 0;
+      ritz += std::strcmp(e.name, "lanczos.ritz") == 0;
+    }
+    CHECK_EQ(orth, r_on.iterations);
+    CHECK_EQ(ritz, std::size_t{1});
 
     std::vector<cplx> psi_off(h.dim()), psi_on(h.dim());
     std::mt19937_64 rng(20260808);
