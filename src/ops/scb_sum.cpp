@@ -25,7 +25,6 @@ namespace gecos {
 /// not folded (ScbPlan keeps their own walks). Empty tables mean no folded
 /// words.
 struct ScbDiagonal {
-  bool real = true;          // every folded coefficient is real
   std::vector<cplx> lo, hi;  // the 2^L and 2^(n-L) table halves
 
   // y += scale * d .* x over the whole vector: one elementwise pass
@@ -284,9 +283,7 @@ void add_word(std::vector<cplx>& table, const TermKernel& k, int shift) {
 /// Compiles the flip-free words: picks the split near n/2 with the fewest
 /// straddling words (then the most even one, then the longer lo half, so
 /// the inner loop runs over longer blocks) and folds every other word
-/// into the tables — unless the folded words together select fewer than
-/// 2^n states, where their own walks touch less than one full pass.
-/// Returns the words left to walk.
+/// into the tables. Returns the straddling words, left to walk.
 std::vector<TermKernel> fold_diagonal(std::vector<TermKernel> words,
                                       std::size_t n, ScbDiagonal& out) {
   const int nq = static_cast<int>(n);
@@ -303,12 +300,7 @@ std::vector<TermKernel> fold_diagonal(std::vector<TermKernel> words,
       best_straddle = straddle;
     }
   }
-  double selected = 0.0;  // folded words' selected states, in units of 2^n
-  for (const TermKernel& k : words)
-    if (!straddles(support(k), best))
-      selected += std::ldexp(1.0, -std::popcount(k.select_mask));
-  if (selected < 1.0) return words;
-
+  if (best_straddle == words.size()) return words;  // nothing to fold
   out.lo.assign(std::size_t{1} << best, cplx(0.0));
   out.hi.assign(std::size_t{1} << (nq - best), cplx(0.0));
   const std::uint64_t lo_mask = (std::uint64_t{1} << best) - 1;
@@ -318,7 +310,6 @@ std::vector<TermKernel> fold_diagonal(std::vector<TermKernel> words,
       rest.push_back(k);
       continue;
     }
-    if (k.base.imag() != 0.0) out.real = false;
     if ((support(k) & ~lo_mask) != 0)
       add_word(out.hi, k, best);
     else
@@ -349,13 +340,8 @@ void ScbDiagonal::apply_add(std::span<const cplx> x, std::span<cplx> y,
           const cplx* xb = x.data() + h * nlo;
           cplx* yb = y.data() + h * nlo;
           const cplx dh = hi[h];
-          if (real) {
-            for (std::size_t i = 0; i < nlo; ++i)
-              yb[i] += cmul(scale * (dl[i].real() + dh.real()), xb[i]);
-          } else {
-            for (std::size_t i = 0; i < nlo; ++i)
-              yb[i] += cmul(cmul(scale, dl[i] + dh), xb[i]);
-          }
+          for (std::size_t i = 0; i < nlo; ++i)
+            yb[i] += cmul(cmul(scale, dl[i] + dh), xb[i]);
         }
       },
       std::max<std::size_t>(1, kParallelGrain / nlo));
@@ -386,7 +372,7 @@ cplx ScbDiagonal::expectation(std::span<const cplx> x) const {
                 xb[i].real() * xb[i].real() + xb[i].imag() * xb[i].imag();
             nrm += p;
             wr += dl[i].real() * p;
-            if (!real) wi += dl[i].imag() * p;
+            wi += dl[i].imag() * p;
           }
           acc_re += wr + hi[h].real() * nrm;
           acc_im += wi + hi[h].imag() * nrm;

@@ -73,12 +73,6 @@ double Lanczos::extend(std::size_t j) const {
   vec_axpy(w, cplx(-a), basis_.vec(j));
   {
     GECOS_SPAN("lanczos.orth");
-    // Modeled traffic of one MGS pass: per basis vector, a dot (16 B of
-    // v_j and 16 B of w per amplitude) and an axpy (16 B of v_j, 32 B of w
-    // read-modify-write).
-    if (telemetry::metrics_enabled())
-      telemetry::count(telemetry::Counter::bytes_moved,
-                       static_cast<std::uint64_t>(j + 1) * dim_ * 80);
     basis_.orthogonalize(w, j + 1, {}, 1);
   }
   return vec_norm(w);

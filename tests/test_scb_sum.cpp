@@ -42,15 +42,18 @@ std::vector<Scb> adjoint_word(const std::vector<Scb>& w) {
   return a;
 }
 
-/// Kernel sweeps one expectation of s makes (metrics on for the call).
-std::uint64_t sweeps(const ScbSum& s, std::span<const cplx> x) {
+/// Counter c's delta over one expectation of s (metrics on for the call);
+/// kernel sweeps by default.
+std::uint64_t sweeps(
+    const ScbSum& s, std::span<const cplx> x,
+    telemetry::Counter c = telemetry::Counter::kernel_sweeps) {
   const bool was = telemetry::metrics_enabled();
   telemetry::set_metrics_enabled(true);
   const auto before = telemetry::metrics_snapshot();
   (void)s.expectation(x);
   const std::uint64_t d =
       telemetry::metrics_delta(before, telemetry::metrics_snapshot())
-          .counter(telemetry::Counter::kernel_sweeps);
+          .counter(c);
   telemetry::set_metrics_enabled(was);
   return d;
 }
@@ -241,12 +244,13 @@ int main() {
     check_plan(s, rng);
     const std::vector<cplx> x = random_state(s.dim(), rng);
     CHECK_EQ(sweeps(s, x), 4u);
-    // A single projector word selects half the states: its own walk is
-    // cheaper than a full table pass, so it is not folded.
+    // A single projector word folds into the table like any other: one
+    // full pass over all 16 amplitudes, not a walk over the 8 it selects.
     ScbSum one(4);
     one.add(ScbTerm::parse("I n I I", 1.5, false));
     check_plan(one, rng);
     CHECK_EQ(sweeps(one, x), 1u);
+    CHECK_EQ(sweeps(one, x, telemetry::Counter::amplitudes_touched), 16u);
   }
 
   // -- n = 20 Hubbard ladder: the plan against the per-word kernels --------
